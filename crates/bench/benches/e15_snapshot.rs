@@ -14,6 +14,11 @@
 //!    invalidated by a shared write bills the flat
 //!    `snapshot_validate_ns` on top of the full resolution it falls
 //!    back to — asserted exactly.
+//!
+//! The wall-clock lane adds an informational cold pair: one lifetime of
+//! a 160-module *lazy* chain with snapshots on and off. Their ratio is
+//! the host-time price of staging and writing the record; it has no
+//! sim row and gates nothing.
 
 use bench::{report, run_ok, sim_delta, sim_time};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -21,14 +26,17 @@ use hemlock::{CostModel, ShareClass, SimTime, World};
 
 const N: usize = 40;
 
-/// Installs an `N`-module `.uses` chain (cf. `e2_lazy_linking`):
+/// Modules in the cold lazy chain of the wall-clock pair.
+const COLD_N: usize = 160;
+
+/// Installs an `n`-module `.uses` chain (cf. `e2_lazy_linking`):
 /// `mod_i` calls `mod_{i+1}`, the last returns its index. The tail
 /// module also exports a data word, `pad` — a harmless shared-write
 /// target the stale lane pokes to invalidate the snapshot without
 /// changing any code the run executes.
-fn install_chain(world: &mut World) {
-    for i in 0..N {
-        let body = if i + 1 < N {
+fn install_chain(world: &mut World, n: usize) {
+    for i in 0..n {
+        let body = if i + 1 < n {
             format!(
                 ".module mod{i}\n.uses mod{next}\n.text\n.globl mod{i}_fn\n\
                  mod{i}_fn: addi sp, sp, -8\nsw ra, 0(sp)\n\
@@ -48,18 +56,19 @@ fn install_chain(world: &mut World) {
     }
 }
 
-/// A world holding the eager chain program, snapshots as given.
-fn chain_world(snapshots: bool) -> (World, String) {
+/// A world holding an `n`-module chain program that walks the whole
+/// chain, linked eagerly or lazily, snapshots as given.
+fn chain_world(snapshots: bool, n: usize, eager: bool) -> (World, String) {
     let mut world = World::new();
-    world.eager = true;
+    world.eager = eager;
     world.set_link_snapshots(snapshots);
-    install_chain(&mut world);
+    install_chain(&mut world, n);
     world
         .install_template(
             "/src/main.o",
             &format!(
                 ".module main\n.text\n.globl main\nmain: addi sp, sp, -8\nsw ra, 0(sp)\n\
-                 li a0, {N}\njal mod0_fn\nlw ra, 0(sp)\naddi sp, sp, 8\njr ra\n"
+                 li a0, {n}\njal mod0_fn\nlw ra, 0(sp)\naddi sp, sp, 8\njr ra\n"
             ),
         )
         .unwrap();
@@ -87,7 +96,7 @@ fn run_once(world: &mut World, exe: &str) -> SimTime {
 /// Cold boot: build and first run. Returns the run time and the world
 /// (warm lanes continue from it).
 fn cold(snapshots: bool) -> (World, String, SimTime) {
-    let (mut world, exe) = chain_world(snapshots);
+    let (mut world, exe) = chain_world(snapshots, N, true);
     let t = run_once(&mut world, &exe);
     (world, exe, t)
 }
@@ -192,6 +201,21 @@ fn bench_e15(c: &mut Criterion) {
                 )
             },
         );
+    }
+    for (label, snapshots) in [
+        ("cold_chain160_snap_on", true),
+        ("cold_chain160_snap_off", false),
+    ] {
+        g.bench_function(label, |b| {
+            b.iter_with_setup(
+                || chain_world(snapshots, COLD_N, false),
+                |(mut world, exe)| {
+                    let pid = world.spawn(&exe).unwrap();
+                    run_ok(&mut world);
+                    world.exit_code(pid).unwrap()
+                },
+            )
+        });
     }
     g.finish();
 }

@@ -152,9 +152,15 @@ pub struct WorldStats {
     /// reassigned address, corrupt bytes). Each bills one
     /// `snapshot_validate_ns` on top of the full resolution that follows.
     pub snapshot_invalidations: u64,
-    /// Snapshots (re)written after a successful resolve. Free — the
-    /// rebuild rides a link that already paid full price.
+    /// Snapshot records written (once per process lifetime, at exit,
+    /// kill, barrier or clean halt). Free — the record rides links that
+    /// already paid full price.
     pub snapshot_rebuilds: u64,
+    /// Bytes read or written inside `Vfs::unpriced` (snapshot load,
+    /// validation, digests and stores) — work the cost model
+    /// deliberately does not price, counted so it cannot grow unseen.
+    /// Never an input to [`CostModel::time`].
+    pub unpriced_bytes: u64,
 }
 
 impl WorldStats {

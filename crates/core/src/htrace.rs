@@ -224,9 +224,9 @@ pub enum TraceEvent {
         /// Why validation failed.
         why: String,
     },
-    /// A fresh snapshot was written (through the WAL pipeline) after a
-    /// successful resolve. Free — rebuilds ride the link that already
-    /// paid full price.
+    /// A process's staged snapshot record was written (through the WAL
+    /// pipeline) at a flush point — exit, kill, barrier or clean halt.
+    /// Free — the record rides links that already paid full price.
     SnapshotRebuilt {
         /// The executable whose snapshot was rebuilt.
         exe: String,

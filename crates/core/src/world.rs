@@ -223,7 +223,11 @@ pub struct World {
     images: HashMap<Pid, Arc<LoadImage>>,
     exits: HashMap<Pid, i32>,
     fault_guard: HashMap<Pid, (u32, u32)>,
-    /// Runtime diagnostics (linker warnings, kill reasons).
+    /// Runtime diagnostics (linker warnings, kill reasons). Bounded:
+    /// once it holds more than `2 × LOG_KEEP` lines, the start of each
+    /// [`World::run`] and each [`World::reboot`] drops all but the
+    /// newest `LOG_KEEP`, so a world that lives through thousands of
+    /// boots does not grow without bound.
     pub log: Vec<String>,
     /// Scheduler quantum in instructions.
     pub quantum: u64,
@@ -279,6 +283,9 @@ impl Default for World {
         World::new()
     }
 }
+
+/// Log lines a world keeps once its log outgrows twice this many.
+const LOG_KEEP: usize = 4096;
 
 /// How many identical consecutive faults a process may take before the
 /// runtime concludes the fault is unresolvable and kills it.
@@ -813,6 +820,7 @@ impl World {
 
     /// Runs the world for up to `max_slices` scheduler slices.
     pub fn run(&mut self, max_slices: u64) -> WorldExit {
+        self.trim_log();
         for _ in 0..max_slices {
             self.sync_processes();
             let ev = self.kernel.step_system(self.quantum);
@@ -829,6 +837,7 @@ impl World {
                 RunEvent::Quantum(_) | RunEvent::Blocked(_) => {}
                 RunEvent::Exited(pid, code) => {
                     self.exits.insert(pid, code);
+                    self.flush_link_snapshot(pid);
                 }
                 RunEvent::AllExited => {
                     self.drain_injections(0);
@@ -874,6 +883,7 @@ impl World {
                          killed holding {resident} resident pages"
                     ));
                     self.exits.insert(pid, 137);
+                    self.flush_link_snapshot(pid);
                     self.record_recovery(pid, self.costs.fault_ns, "oom-kill");
                 }
             }
@@ -950,6 +960,33 @@ impl World {
     pub fn kill(&mut self, pid: Pid, code: i32) {
         self.kernel.finalize_exit(pid, code);
         self.exits.insert(pid, code);
+        self.flush_link_snapshot(pid);
+    }
+
+    /// Stores the prelink-snapshot record `pid`'s last successful
+    /// resolve staged, if any (DESIGN.md §15), and publishes the
+    /// resulting trace record. Called once per quiescent point —
+    /// process exit or kill, a barrier, a clean halt — rather than per
+    /// link, so a lifetime writes its record at most once per point.
+    fn flush_link_snapshot(&mut self, pid: Pid) {
+        let Some(state) = self.link.get_mut(&pid) else {
+            return;
+        };
+        if !state.snapshot_staged() {
+            return;
+        }
+        Ldl::new(&mut self.kernel, &mut self.registry, state, pid).flush_snapshot();
+        self.pump_trace(pid);
+    }
+
+    /// [`World::flush_link_snapshot`] for every process, in pid order
+    /// (the disk write stream must not depend on hash order).
+    fn flush_all_link_snapshots(&mut self) {
+        let mut pids: Vec<Pid> = self.link.keys().copied().collect();
+        pids.sort_unstable();
+        for pid in pids {
+            self.flush_link_snapshot(pid);
+        }
     }
 
     /// The recorded exit status of a process.
@@ -961,6 +998,13 @@ impl World {
                 ProcState::Zombie(code) => Some(code),
                 _ => None,
             })
+    }
+
+    /// Applies the bound on [`World::log`].
+    fn trim_log(&mut self) {
+        if self.log.len() > 2 * LOG_KEEP {
+            self.log.drain(..self.log.len() - LOG_KEEP);
+        }
     }
 
     /// A process's console output.
@@ -1005,10 +1049,14 @@ impl World {
         for pid in &pids {
             if !self.link.contains_key(pid) {
                 let ppid = self.kernel.procs[pid].ppid;
-                let mut inherited = self.link.get(&ppid).cloned().unwrap_or_default();
-                // Journal entries belong to the process that generated
-                // them; a fork child starts with an empty journal.
-                inherited.journal.clear();
+                // Journal entries and staged snapshot writes belong to
+                // the process that generated them; a fork child starts
+                // with neither.
+                let inherited = self
+                    .link
+                    .get(&ppid)
+                    .map(LinkState::inherit)
+                    .unwrap_or_default();
                 self.link.insert(*pid, inherited);
                 if let Some(img) = self.images.get(&ppid).cloned() {
                     self.images.insert(*pid, img);
@@ -1435,6 +1483,7 @@ impl World {
         self.pump_bb();
         self.drain_sanitizer();
         if !crash {
+            self.flush_all_link_snapshots();
             self.kernel.vfs.shared.fs.barrier();
         }
         for (_, s) in self.link.drain() {
@@ -1513,6 +1562,7 @@ impl World {
         // exactly once (DESIGN.md §15).
         self.kernel.clear_snapshot_consults();
         self.powered = true;
+        self.trim_log();
         self.log
             .push("system rebooted; address table rebuilt by scan".to_string());
     }
@@ -1526,8 +1576,11 @@ impl World {
     /// Flushes the shared partition's write pipeline (mapped-store dirt
     /// included) and checkpoints its journal — the machine-level
     /// `sync`. Data flushed by a completed barrier survives any later
-    /// crash. Returns the disk write index after the flush.
+    /// crash. Staged prelink-snapshot records of live processes are
+    /// stored first, so they are covered too. Returns the disk write
+    /// index after the flush.
     pub fn barrier(&mut self) -> u64 {
+        self.flush_all_link_snapshots();
         self.kernel.vfs.shared.fs.barrier()
     }
 
@@ -1925,6 +1978,7 @@ impl World {
             snapshot_misses: ldl.snapshot_misses,
             snapshot_invalidations: ldl.snapshot_invalidations,
             snapshot_rebuilds: ldl.snapshot_rebuilds,
+            unpriced_bytes: self.kernel.vfs.unpriced_bytes(),
         }
     }
 }

@@ -82,3 +82,17 @@ fn dynamic_public_counter() {
     assert_eq!(exit, WorldExit::AllExited, "log: {:?}", world.log);
     assert_eq!(world.exit_code(pid2), Some(4), "log: {:?}", world.log);
 }
+
+#[test]
+fn log_keeps_only_the_newest_lines_of_a_long_lived_world() {
+    let mut world = World::new();
+    world.log.extend((0..9000).map(|i| format!("line {i}")));
+    assert_eq!(world.run(1), WorldExit::AllExited);
+    assert_eq!(world.log.len(), 4096);
+    assert_eq!(world.log.first().map(String::as_str), Some("line 4904"));
+    assert_eq!(world.log.last().map(String::as_str), Some("line 8999"));
+    // Below twice the bound nothing is dropped.
+    world.log.extend((0..4000).map(|i| format!("more {i}")));
+    world.reboot();
+    assert_eq!(world.log.len(), 4096 + 4000 + 1);
+}

@@ -227,6 +227,22 @@ pub fn apply_with_trampoline(
 #[derive(Debug, Default)]
 pub struct ModuleRegistry {
     cache: HashMap<Ino, ModuleMeta>,
+    /// Per-inode record generation: moves whenever the cached record
+    /// for the inode may change ([`ModuleRegistry::put`],
+    /// [`ModuleRegistry::forget`]).
+    generations: HashMap<Ino, u64>,
+    /// Memoized [`ModuleRegistry::digests`], valid while the file's
+    /// content epoch and the record generation both stand still.
+    digests: HashMap<Ino, DigestMemo>,
+}
+
+/// One memoized digest pair and the key it was computed under.
+#[derive(Clone, Copy, Debug)]
+struct DigestMemo {
+    content_epoch: u64,
+    generation: u64,
+    content: u32,
+    meta: u32,
 }
 
 impl ModuleRegistry {
@@ -246,6 +262,7 @@ impl ModuleRegistry {
 
     /// Stores metadata for `ino` (persisting it).
     pub fn put(&mut self, vfs: &mut Vfs, ino: Ino, meta: ModuleMeta) -> Result<(), LinkError> {
+        *self.generations.entry(ino).or_default() += 1;
         meta.save(vfs, ino)?;
         self.cache.insert(ino, meta);
         Ok(())
@@ -253,14 +270,59 @@ impl ModuleRegistry {
 
     /// Drops `ino` from cache and disk (segment destroyed).
     pub fn forget(&mut self, vfs: &mut Vfs, ino: Ino) {
+        *self.generations.entry(ino).or_default() += 1;
         self.cache.remove(&ino);
         ModuleMeta::remove(vfs, ino);
     }
 
     /// Drops only the in-memory cache (simulating a reboot; the on-disk
-    /// records survive, like the paper's scan-rebuildable table).
+    /// records survive, like the paper's scan-rebuildable table) and,
+    /// with it, every memoized digest.
     pub fn clear_cache(&mut self) {
         self.cache.clear();
+        self.digests.clear();
+    }
+
+    /// CRC-32 digests of a public instance — of the file's bytes (read
+    /// unpriced at `path`) and of its live metadata record — as a
+    /// prelink snapshot records them. `None` when either cannot be read.
+    ///
+    /// Memoized per inode under the key (file content epoch, record
+    /// generation): a digest is recomputed only when its file was
+    /// written or its record replaced since the last call. A file with
+    /// a poisoned page bypasses the memo, so a read that would fail
+    /// still fails.
+    pub fn digests(&mut self, vfs: &mut Vfs, ino: Ino, path: &str) -> Option<(u32, u32)> {
+        let content_epoch = vfs.shared.fs.content_epoch(ino);
+        let generation = self.generations.get(&ino).copied().unwrap_or(0);
+        if !vfs.shared.fs.has_poison(ino) {
+            if let Some(m) = self.digests.get(&ino) {
+                if m.content_epoch == content_epoch && m.generation == generation {
+                    return Some((m.content, m.meta));
+                }
+            }
+        }
+        let content = vfs.unpriced(|v| v.read_all(path).ok())?;
+        // The metadata digest comes from the *live* record, not the
+        // on-disk file: if the device died before the record's fence
+        // committed, `ModuleMeta::save` skipped the durable write, and
+        // reading the file here would make the snapshot (and hence the
+        // shared disk's write sequence) depend on when the device died.
+        // Next boot's validation compares this digest against the file
+        // that actually survived — a skipped or stale record simply
+        // fails to validate.
+        let meta = binfmt::crc32(&self.get(vfs, ino)?.encode());
+        let content = binfmt::crc32(&content);
+        self.digests.insert(
+            ino,
+            DigestMemo {
+                content_epoch,
+                generation,
+                content,
+                meta,
+            },
+        );
+        Some((content, meta))
     }
 }
 

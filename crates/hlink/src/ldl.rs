@@ -137,8 +137,8 @@ pub enum LinkEvent {
         /// The staleness or corruption reason.
         why: String,
     },
-    /// A fresh prelink snapshot was written after a successful resolve
-    /// (free: cache maintenance, not work the program asked for).
+    /// The prelink snapshot staged by the last successful resolve was
+    /// written (free: cache maintenance, not work the program asked for).
     SnapshotRebuilt {
         /// The executable whose snapshot was rebuilt.
         exe: String,
@@ -199,7 +199,7 @@ pub struct LdlStats {
     pub snapshot_misses: u64,
     /// Snapshots rejected as stale or corrupt (full resolution followed).
     pub snapshot_invalidations: u64,
-    /// Snapshots (re)written after a successful resolve.
+    /// Staged snapshot records written at a flush point.
     pub snapshot_rebuilds: u64,
 }
 
@@ -269,9 +269,44 @@ pub struct LinkState {
     snap_image_patches: Vec<(u32, RelocKind, u32)>,
     /// Targets of image-owned runtime trampolines, in allocation order.
     snap_tramp_targets: Vec<u32>,
+    /// The snapshot write the last successful resolve staged, awaiting
+    /// [`Ldl::flush_snapshot`].
+    snap_staged: Option<StagedSnapshot>,
+}
+
+/// One module's entry in a record being staged: carried over from the
+/// previously staged record (by index) or freshly built.
+enum Entry {
+    Kept(usize),
+    Fresh(crate::snapshot::SnapModule),
+}
+
+/// A prelink-snapshot write staged by [`Ldl::stage_snapshot`].
+#[derive(Clone, Debug)]
+enum StagedSnapshot {
+    /// Store this record.
+    Store(crate::snapshot::PrelinkSnapshot),
+    /// Remove the stored record: the link map holds a private instance.
+    Remove,
 }
 
 impl LinkState {
+    /// The link state a fork child starts from: the parent's link map,
+    /// with an empty journal and nothing staged — the child writes a
+    /// snapshot only if it links something itself.
+    pub fn inherit(&self) -> LinkState {
+        LinkState {
+            journal: Vec::new(),
+            snap_staged: None,
+            ..self.clone()
+        }
+    }
+
+    /// True while a staged snapshot write awaits [`Ldl::flush_snapshot`].
+    pub fn snapshot_staged(&self) -> bool {
+        self.snap_staged.is_some()
+    }
+
     /// The module instance containing `addr`, if any.
     pub fn module_at(&self, addr: u32) -> Option<&ModuleInst> {
         self.modules.values().find(|m| m.contains(addr))
@@ -365,12 +400,12 @@ impl<'a> Ldl<'a> {
         // Snapshot-first (DESIGN.md §15): a valid prelink snapshot maps
         // the whole resolved link map for one flat validation charge,
         // skipping everything below. A miss or invalidation falls
-        // through to full resolution, which rebuilds the snapshot. Each
+        // through to full resolution, which stages a fresh record. Each
         // executable's snapshot is consulted once per boot — later
         // same-boot inits ride the kernel's hot in-RAM registry through
         // the ordinary resolve path, pricing exactly as a snapshots-off
-        // run (the bookkeeping stays set so they still refresh the
-        // snapshot; the store skips byte-identical rewrites).
+        // run (the bookkeeping stays set so they still stage a record;
+        // the store at flush skips byte-identical rewrites).
         if self.kernel.link_snapshots_enabled() {
             self.state.snap_path = Some(crate::snapshot::path_for(&self.kernel.vfs, &image.name));
             self.state.snap_scope = crate::snapshot::scope_hash(
@@ -440,7 +475,7 @@ impl<'a> Ldl<'a> {
         self.state.image_pending = still;
         self.state.stats.init_links += 1;
         self.state.snap_warnings = warnings.clone();
-        self.rebuild_snapshot();
+        self.stage_snapshot();
         Ok(warnings)
     }
 
@@ -572,7 +607,7 @@ impl<'a> Ldl<'a> {
                 })?;
         }
         self.state.image_pending = snap.image_pending.clone();
-        // Future rebuilds (a lazy link after this hit) must re-record
+        // Future stages (a lazy link after this hit) must re-record
         // the full image-side history, not just the increment.
         self.state.snap_image_patches = snap.image_patches.clone();
         self.state.snap_tramp_targets = snap.tramp_targets.clone();
@@ -580,79 +615,125 @@ impl<'a> Ldl<'a> {
         Ok(())
     }
 
-    /// Serializes the current link map into this image's snapshot file
-    /// — called after every successful resolve (init, and each
-    /// completed lazy link). All I/O is unpriced cache maintenance and
-    /// every failure is absorbed: a skipped rebuild only costs the
+    /// Stages the record this link map would store as the image's
+    /// prelink snapshot — called after every successful resolve (init,
+    /// and each completed lazy link). The digests and the content stamp
+    /// are taken now, as of this link; nothing is written until
+    /// [`Ldl::flush_snapshot`]. Per-module digests come from the
+    /// registry's memo, so a module is re-read only when its bytes or
+    /// its record moved. Failures are absorbed: when a digest cannot be
+    /// taken the previously staged record stands, which only costs the
     /// *next* run its warm path, never this run its correctness.
-    pub fn rebuild_snapshot(&mut self) {
-        let Some(path) = self.state.snap_path.clone() else {
+    pub fn stage_snapshot(&mut self) {
+        if self.state.snap_path.is_none() {
             return;
-        };
+        }
         // A private instance lives at a per-process address; its
         // resolved state means nothing to another process or a later
         // boot. Cache nothing rather than a partial link map — and drop
         // any stored record so it cannot validate against a world it no
         // longer describes.
         if self.state.modules.values().any(|m| m.ino.is_none()) {
-            crate::snapshot::remove(&mut self.kernel.vfs, &path);
+            self.state.snap_staged = Some(StagedSnapshot::Remove);
             return;
         }
-        let mut insts: Vec<(String, Ino)> = self
+        let mut insts: Vec<(&String, Ino)> = self
             .state
             .modules
-            .values()
-            .filter_map(|m| m.ino.map(|i| (m.name.clone(), i)))
+            .iter()
+            .filter_map(|(name, m)| m.ino.map(|i| (name, i)))
             .collect();
         insts.sort();
-        let mount = self.kernel.vfs.mount_point.clone();
-        let mut modules = Vec::with_capacity(insts.len());
-        for (name, ino) in &insts {
-            let Ok(inner) = self.kernel.vfs.shared.fs.path_of(*ino) else {
-                return;
-            };
-            let Some(m) = self.state.modules.get(name) else {
-                return;
-            };
-            modules.push(crate::snapshot::SnapModule {
-                name: m.name.clone(),
-                class: m.class,
-                path: format!("{mount}{inner}"),
-                ino: *ino,
-                base: m.base,
-                total_len: m.total_len,
-                lazy: m.lazy,
-                tramp: m.tramp,
-                exports: m.exports.clone(),
-                pending: m.pending.clone(),
-                search: m.search.clone(),
-                parents: self.state.dag.parents_of(&m.name).to_vec(),
-                content_digest: 0,
-                meta_digest: 0,
+        // A lazy link changes one or two modules, so an entry of the
+        // previously staged record that still describes its module
+        // field for field is kept instead of rebuilt — rebuilding every
+        // entry at every link would make staging quadratic in the chain.
+        let prev: &[crate::snapshot::SnapModule] = match &self.state.snap_staged {
+            Some(StagedSnapshot::Store(snap)) => &snap.modules,
+            _ => &[],
+        };
+        let fs = &self.kernel.vfs.shared.fs;
+        let mount = &self.kernel.vfs.mount_point;
+        let mut entries = Vec::with_capacity(insts.len());
+        for (name, ino) in insts {
+            let m = &self.state.modules[name];
+            let parents = self.state.dag.parents_of(name);
+            let kept = prev
+                .binary_search_by(|p| p.name.as_str().cmp(name))
+                .ok()
+                .filter(|&i| {
+                    let p = &prev[i];
+                    p.ino == ino
+                        && p.class == m.class
+                        && p.base == m.base
+                        && p.total_len == m.total_len
+                        && p.lazy == m.lazy
+                        && p.tramp == m.tramp
+                        && p.exports == m.exports
+                        && p.pending == m.pending
+                        && p.search == m.search
+                        && p.parents == parents
+                        && p.path
+                            .strip_prefix(mount.as_str())
+                            .is_some_and(|inner| fs.has_path(ino, inner))
+                });
+            entries.push(match kept {
+                Some(i) => Entry::Kept(i),
+                None => {
+                    let Ok(inner) = fs.path_of(ino) else {
+                        return;
+                    };
+                    Entry::Fresh(crate::snapshot::SnapModule {
+                        name: m.name.clone(),
+                        class: m.class,
+                        path: format!("{mount}{inner}"),
+                        ino,
+                        base: m.base,
+                        total_len: m.total_len,
+                        lazy: m.lazy,
+                        tramp: m.tramp,
+                        exports: m.exports.clone(),
+                        pending: m.pending.clone(),
+                        search: m.search.clone(),
+                        parents: parents.to_vec(),
+                        content_digest: 0,
+                        meta_digest: 0,
+                    })
+                }
             });
         }
-        for m in &mut modules {
-            let (mpath, ino) = (m.path.clone(), m.ino);
-            let content = self.kernel.vfs.unpriced(|v| v.read_all(&mpath).ok());
-            let Some(content) = content else {
+        let mut digests = Vec::with_capacity(entries.len());
+        for entry in &entries {
+            let (ino, path) = match entry {
+                Entry::Kept(i) => (prev[*i].ino, &prev[*i].path),
+                Entry::Fresh(m) => (m.ino, &m.path),
+            };
+            let Some(d) = self.registry.digests(&mut self.kernel.vfs, ino, path) else {
                 return;
             };
-            // The metadata digest comes from the *live* record, not the
-            // on-disk file: if the device died before the record's
-            // fence committed, `ModuleMeta::save` skipped the durable
-            // write, and reading the file here would make the rebuild
-            // (and hence the shared disk's write sequence) depend on
-            // when the device died. Next boot's validation compares
-            // this digest against the file that actually survived — a
-            // skipped or stale record simply fails to validate.
-            let Some(meta) = self.registry.get(&mut self.kernel.vfs, ino) else {
-                return;
-            };
-            m.content_digest = binfmt::crc32(&content);
-            m.meta_digest = binfmt::crc32(&meta.encode());
+            digests.push(d);
         }
-        let count = modules.len() as u32;
-        let snap = crate::snapshot::PrelinkSnapshot {
+        let mut prev: Vec<Option<crate::snapshot::SnapModule>> = match self.state.snap_staged.take()
+        {
+            Some(StagedSnapshot::Store(snap)) => snap.modules.into_iter().map(Some).collect(),
+            _ => Vec::new(),
+        };
+        let modules = entries
+            .into_iter()
+            .zip(digests)
+            .map(|(entry, (content, meta))| {
+                let mut m = match entry {
+                    // invariant: module names are unique, so each kept
+                    // index is taken once.
+                    Entry::Kept(i) => prev[i].take().expect("kept once"),
+                    Entry::Fresh(m) => m,
+                };
+                m.content_digest = content;
+                m.meta_digest = meta;
+                m
+            })
+            .collect();
+        self.state.snap_staged = Some(StagedSnapshot::Store(crate::snapshot::PrelinkSnapshot {
             scope_hash: self.state.snap_scope,
             stamp: self.kernel.vfs.shared.fs.content_stamp(),
             image_tramp_used: self.state.image_tramp.2,
@@ -661,15 +742,36 @@ impl<'a> Ldl<'a> {
             image_pending: self.state.image_pending.clone(),
             warnings: self.state.snap_warnings.clone(),
             modules,
+        }));
+    }
+
+    /// Stores the staged snapshot record, if any, and clears the stage
+    /// — the embedder calls this once per quiescent point (process
+    /// exit or kill, a barrier, a clean halt), not per link. A record
+    /// staged but never flushed (the machine lost power first) is
+    /// simply never written; the next boot misses or invalidates and
+    /// re-resolves. All I/O is unpriced cache maintenance and every
+    /// failure is absorbed.
+    pub fn flush_snapshot(&mut self) {
+        let Some(staged) = self.state.snap_staged.take() else {
+            return;
         };
-        if let crate::snapshot::StoreOutcome::Written =
-            crate::snapshot::store(&mut self.kernel.vfs, &path, &snap)
-        {
-            self.state.stats.snapshot_rebuilds += 1;
-            self.state.journal.push(LinkEvent::SnapshotRebuilt {
-                exe: self.state.snap_exe.clone(),
-                modules: count,
-            });
+        let Some(path) = self.state.snap_path.clone() else {
+            return;
+        };
+        match staged {
+            StagedSnapshot::Remove => crate::snapshot::remove(&mut self.kernel.vfs, &path),
+            StagedSnapshot::Store(snap) => {
+                if let crate::snapshot::StoreOutcome::Written =
+                    crate::snapshot::store(&mut self.kernel.vfs, &path, &snap)
+                {
+                    self.state.stats.snapshot_rebuilds += 1;
+                    self.state.journal.push(LinkEvent::SnapshotRebuilt {
+                        exe: self.state.snap_exe.clone(),
+                        modules: snap.modules.len() as u32,
+                    });
+                }
+            }
         }
     }
 
@@ -1074,9 +1176,9 @@ impl<'a> Ldl<'a> {
                 self.registry.put(&mut self.kernel.vfs, ino, meta)?;
             }
         }
-        // The link map grew (or a module's pendings drained): re-record
+        // The link map grew (or a module's pendings drained): re-stage
         // the snapshot so the next boot starts from here.
-        self.rebuild_snapshot();
+        self.stage_snapshot();
         Ok(())
     }
 

@@ -5,11 +5,13 @@
 //! across *every* boot — means a resolved link map never goes stale by
 //! relocation. What can go stale is the *content* it was resolved
 //! against: a module rewritten, the scope configuration changed, a slot
-//! reassigned to a different file. So after a successful resolve the
-//! linker serializes the whole link map (module instances, exports,
+//! reassigned to a different file. So after each successful resolve the
+//! linker stages the whole link map (module instances, exports,
 //! remaining pendings, DAG edges, the image's own patch list and
-//! trampoline targets) into a versioned, checksummed record under
-//! [`hsfs::PRELINK_DIR_INNER`] on the shared partition, keyed by:
+//! trampoline targets) as a versioned, checksummed record, and the
+//! embedder writes the staged record once per process lifetime (at exit,
+//! kill, barrier or clean halt) under [`hsfs::PRELINK_DIR_INNER`] on the
+//! shared partition, keyed by:
 //!
 //! * the **scope hash** — a digest of the executable image, the runtime
 //!   `LD_LIBRARY_PATH`, and the working directory (everything that
@@ -388,7 +390,7 @@ pub enum StoreOutcome {
     /// The stored record was already byte-identical; nothing moved.
     Unchanged,
     /// The write could not complete (chaos, no space). The caller
-    /// absorbs this silently: a failed rebuild only costs the *next*
+    /// absorbs this silently: a failed store only costs the *next*
     /// run its warm path.
     Failed,
 }
@@ -400,8 +402,9 @@ pub fn store(vfs: &mut Vfs, path: &str, snap: &PrelinkSnapshot) -> StoreOutcome 
     let dir = vfs.prelink_dir();
     vfs.unpriced(|v| {
         // Skip the write (and its journal traffic) when the on-disk
-        // record is already byte-identical — rebuild-after-every-link
-        // stays cheap and the crash-point write stream stays small.
+        // record is already byte-identical — a warm program whose link
+        // map did not change since its last lifetime rewrites nothing,
+        // and the crash-point write stream stays small.
         if v.read_all(path).is_ok_and(|old| old == bytes) {
             return StoreOutcome::Unchanged;
         }

@@ -49,15 +49,37 @@ impl fmt::Display for BinError {
     }
 }
 
+/// The reflected IEEE polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC32_TABLE[b]` is the CRC register after shifting byte `b` through
+/// eight rounds of the bitwise algorithm, so one lookup replaces eight
+/// shift-and-mask steps per input byte.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ CRC32_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
 /// Computes the CRC-32 (IEEE, reflected) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -606,6 +628,40 @@ mod tests {
         // CRC-32 of "123456789" is 0xCBF43926 (IEEE reflected).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_table_matches_bitwise_reference() {
+        fn bitwise(data: &[u8]) -> u32 {
+            let mut crc: u32 = !0;
+            for &b in data {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    let mask = (crc & 1).wrapping_neg();
+                    crc = (crc >> 1) ^ (CRC32_POLY & mask);
+                }
+            }
+            !crc
+        }
+        // SplitMix64-seeded buffers, every length class from empty to
+        // a few blocks.
+        let mut state: u64 = 1993;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for round in 0..64 {
+            let len = match round {
+                0 => 0,
+                1 => 9000,
+                _ => (next() % 9001) as usize,
+            };
+            let buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&buf), bitwise(&buf), "len {len}");
+        }
     }
 
     #[test]

@@ -140,6 +140,14 @@ pub struct FileSystem {
     /// the block cache skip per-page epoch queries entirely while no
     /// write happened anywhere — see [`FileSystem::content_stamp`].
     content_stamp: u64,
+    /// Monotonic clock behind [`FileSystem::content_epoch`]: every file
+    /// mutation takes a fresh tick. Unlike `content_stamp` it is never
+    /// rolled back, so no two content states of a file share a tick.
+    content_clock: u64,
+    /// Every file's content epoch is at least this tick. Raised by a
+    /// power cut, which replaces the live tree wholesale without
+    /// per-file bookkeeping.
+    content_floor: u64,
     /// The block-write pipeline + write-ahead journal (DESIGN.md §13).
     /// `None` (the root file system, and the durable twin itself) means
     /// write-through: mutations are durable the instant they happen.
@@ -158,11 +166,13 @@ pub struct FileSystem {
 /// path that does not know which pages it touched (`file_bytes_mut`,
 /// `truncate`); `pages` moves per file page for the paths that do
 /// (`write_at`, the kernel bus store). A page's effective epoch is the
-/// sum, so a coarse bump invalidates every page at once.
+/// sum, so a coarse bump invalidates every page at once. `content` is
+/// the content-clock tick of the file's latest mutation of any kind.
 #[derive(Clone, Debug, Default)]
 struct WriteEpochs {
     whole: u64,
     pages: BTreeMap<u32, u64>,
+    content: u64,
 }
 
 /// The root directory's inode number.
@@ -192,6 +202,8 @@ impl FileSystem {
             faults: FaultHandle::unarmed(),
             write_epochs: BTreeMap::new(),
             content_stamp: 0,
+            content_clock: 0,
+            content_floor: 0,
             durable: None,
             poisoned: BTreeSet::new(),
         }
@@ -254,6 +266,9 @@ impl FileSystem {
         {
             self.live -= 1;
             self.free.push(ino);
+            // A reused inode number must not inherit the old file's
+            // content epoch.
+            self.tick_content(ino);
             if !self.poisoned.is_empty() {
                 // Removing the file discards its damage with it.
                 self.poisoned.retain(|&(i, _)| i != ino);
@@ -355,6 +370,35 @@ impl FileSystem {
         } else {
             format!("/{}", parts.join("/"))
         })
+    }
+
+    /// True when [`FileSystem::path_of`] would return exactly `path`,
+    /// checked by walking the parent chain without allocating.
+    pub fn has_path(&self, ino: Ino, path: &str) -> bool {
+        if ino == ROOT_INO {
+            return path == "/";
+        }
+        let mut rest = path;
+        let mut cur = ino;
+        let mut hops = 0;
+        while cur != ROOT_INO {
+            let Ok(node) = self.inode(cur) else {
+                return false;
+            };
+            let Some(prefix) = rest
+                .strip_suffix(node.name.as_str())
+                .and_then(|r| r.strip_suffix('/'))
+            else {
+                return false;
+            };
+            rest = prefix;
+            cur = node.parent;
+            hops += 1;
+            if hops > 4096 {
+                return false;
+            }
+        }
+        rest.is_empty()
     }
 
     // --- creation / removal ---
@@ -681,7 +725,9 @@ impl FileSystem {
             // Stamp the touched pages (the full attempted range even
             // when torn — over-invalidation is always safe).
             self.content_stamp += 1;
+            self.content_clock += 1;
             let epochs = self.write_epochs.entry(ino).or_default();
+            epochs.content = self.content_clock;
             let first = (offset / crate::PAGE_SIZE as u64) as u32;
             let last = ((end - 1) / crate::PAGE_SIZE as u64) as u32;
             for page in first..=last {
@@ -767,7 +813,7 @@ impl FileSystem {
             return Err(FsError::FileTooLarge);
         }
         self.content_stamp += 1;
-        self.write_epochs.entry(ino).or_default().whole += 1;
+        self.bump_whole(ino);
         match &mut self.inode_mut(ino)?.node {
             Node::File { content } => {
                 content.resize(size as usize, 0);
@@ -791,7 +837,7 @@ impl FileSystem {
     /// for fsck tests. Test/diagnostic use only.
     pub fn force_size_for_test(&mut self, ino: Ino, size: u64) {
         self.content_stamp += 1;
-        self.write_epochs.entry(ino).or_default().whole += 1;
+        self.bump_whole(ino);
         if let Ok(inode) = self.inode_mut(ino) {
             if let Node::File { content } = &mut inode.node {
                 content.resize(size as usize, 0);
@@ -816,7 +862,7 @@ impl FileSystem {
     /// [`FileSystem::file_bytes_mut_stamped`] instead.
     pub fn file_bytes_mut(&mut self, ino: Ino) -> Result<&mut [u8], FsError> {
         self.content_stamp += 1;
-        self.write_epochs.entry(ino).or_default().whole += 1;
+        self.bump_whole(ino);
         if let Some(d) = self.durable.as_deref_mut() {
             d.mark_whole(ino);
         }
@@ -832,7 +878,9 @@ impl FileSystem {
     /// cached blocks decoded from the file's text pages.
     pub fn file_bytes_mut_stamped(&mut self, ino: Ino, page: u32) -> Result<&mut [u8], FsError> {
         self.content_stamp += 1;
+        self.content_clock += 1;
         let epochs = self.write_epochs.entry(ino).or_default();
+        epochs.content = self.content_clock;
         *epochs.pages.entry(page).or_default() += 1;
         if let Some(d) = self.durable.as_deref_mut() {
             d.mark_page(ino, page);
@@ -843,10 +891,20 @@ impl FileSystem {
         }
     }
 
-    /// The write epoch of one page of a file: moves (monotonically)
-    /// whenever any mutating view could have touched that page's bytes.
-    /// Inode-number reuse keeps the old stamps — epochs only ever grow,
-    /// which is all a staleness check needs. Absent entry ⇒ 0.
+    /// Bumps the file's whole-file write epoch (every page at once).
+    fn bump_whole(&mut self, ino: Ino) {
+        self.content_clock += 1;
+        let epochs = self.write_epochs.entry(ino).or_default();
+        epochs.whole += 1;
+        epochs.content = self.content_clock;
+    }
+
+    /// Moves the file's content epoch without touching its page epochs.
+    fn tick_content(&mut self, ino: Ino) {
+        self.content_clock += 1;
+        self.write_epochs.entry(ino).or_default().content = self.content_clock;
+    }
+
     /// The global content stamp: unchanged between two reads ⇒ no file's
     /// bytes changed in between (the converse does not hold — it also
     /// moves for writes the caller does not care about). Monotonic.
@@ -864,11 +922,38 @@ impl FileSystem {
         self.content_stamp = stamp;
     }
 
+    /// The write epoch of one page of a file: moves (monotonically)
+    /// whenever any mutating view could have touched that page's bytes.
+    /// Inode-number reuse keeps the old stamps — epochs only ever grow,
+    /// which is all a staleness check needs. Absent entry ⇒ 0.
     pub fn write_epoch(&self, ino: Ino, page: u32) -> u64 {
         match self.write_epochs.get(&ino) {
             Some(epochs) => epochs.whole + epochs.pages.get(&page).copied().unwrap_or(0),
             None => 0,
         }
+    }
+
+    /// The whole-file content epoch: equal values at two reads ⇒ the
+    /// file's bytes did not change in between. It moves on every write,
+    /// truncate, mapped-store view, journal replay or repair touching
+    /// the file, on inode release (so a reused number starts fresh) and
+    /// for every file at a power cut. Writes inside
+    /// [`crate::Vfs::unpriced`] move it too — only the global
+    /// [`FileSystem::content_stamp`] is rolled back there.
+    pub fn content_epoch(&self, ino: Ino) -> u64 {
+        let own = self.write_epochs.get(&ino).map_or(0, |e| e.content);
+        own.max(self.content_floor)
+    }
+
+    /// True when any page of the file is poisoned, so a read of the
+    /// whole file fails with [`FsError::CorruptData`].
+    pub fn has_poison(&self, ino: Ino) -> bool {
+        !self.poisoned.is_empty()
+            && self
+                .poisoned
+                .range((ino, 0)..=(ino, u32::MAX))
+                .next()
+                .is_some()
     }
 
     // --- metadata / directory listing ---
@@ -1022,6 +1107,8 @@ impl FileSystem {
             faults: FaultHandle::unarmed(),
             write_epochs: BTreeMap::new(),
             content_stamp: 0,
+            content_clock: 0,
+            content_floor: 0,
             durable: None,
             poisoned: BTreeSet::new(),
         }
@@ -1186,6 +1273,8 @@ impl FileSystem {
         self.free = twin.free;
         self.live = twin.live;
         self.write_epochs.clear();
+        self.content_clock += 1;
+        self.content_floor = self.content_clock;
         let mut nd = Durable::new(self.snapshot_for_disk());
         nd.journal = std::mem::take(&mut d.journal);
         // The checksum/claim/replica regions are on-disk state and
@@ -1284,6 +1373,7 @@ impl FileSystem {
                     inode.parent = *parent;
                     inode.name = name.clone();
                 } else {
+                    self.tick_content(*ino);
                     if self.slots[idx].is_none() {
                         self.live += 1;
                         self.free.retain(|&i| i != *ino);
@@ -1324,7 +1414,7 @@ impl FileSystem {
                 }
             }
             Payload::SetSize { ino, size } => {
-                self.write_epochs.entry(*ino).or_default().whole += 1;
+                self.bump_whole(*ino);
                 if let Ok(inode) = self.inode_mut(*ino) {
                     if let Node::File { content } = &mut inode.node {
                         content.resize(*size as usize, 0);
@@ -1348,7 +1438,7 @@ impl FileSystem {
                 }
             }
             Payload::WriteBlock { ino, offset, bytes } => {
-                self.write_epochs.entry(*ino).or_default().whole += 1;
+                self.bump_whole(*ino);
                 if let Ok(inode) = self.inode_mut(*ino) {
                     if let Node::File { content } = &mut inode.node {
                         let need = *offset as usize + bytes.len();
@@ -1728,6 +1818,20 @@ mod tests {
         let ino = f.create_file("/u/proj/lib/mod.o", 0o644, 0).unwrap();
         assert_eq!(f.path_of(ino).unwrap(), "/u/proj/lib/mod.o");
         assert_eq!(f.path_of(ROOT_INO).unwrap(), "/");
+        assert!(f.has_path(ino, "/u/proj/lib/mod.o"));
+        assert!(f.has_path(ROOT_INO, "/"));
+        for wrong in [
+            "/u/proj/lib/mod",
+            "u/proj/lib/mod.o",
+            "/x/u/proj/lib/mod.o",
+            "/",
+            "",
+        ] {
+            assert!(!f.has_path(ino, wrong), "{wrong}");
+        }
+        f.rename("/u/proj", "/u/other").unwrap();
+        assert!(!f.has_path(ino, "/u/proj/lib/mod.o"));
+        assert!(f.has_path(ino, "/u/other/lib/mod.o"));
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub struct Vfs {
     pub shared: SharedFs,
     /// Absolute mount point of the shared partition.
     pub mount_point: String,
+    /// Bytes read or written inside [`Vfs::unpriced`] brackets so far.
+    unpriced_bytes: u64,
 }
 
 impl Default for Vfs {
@@ -58,6 +60,7 @@ impl Vfs {
             root,
             shared: SharedFs::new(),
             mount_point: "/shared".to_string(),
+            unpriced_bytes: 0,
         }
     }
 
@@ -97,7 +100,8 @@ impl Vfs {
     /// per block. Only the *pricing* is suspended — the bytes really
     /// move: the WAL still journals writes, the disk write stream still
     /// advances (crash-point enumeration sees every unit), and scrub
-    /// coverage is unaffected.
+    /// coverage is unaffected. The bytes moved are still *counted*, in
+    /// [`Vfs::unpriced_bytes`], so unpriced work cannot grow unseen.
     pub fn unpriced<R>(&mut self, f: impl FnOnce(&mut Vfs) -> R) -> R {
         let root = self.root.stats;
         let shared = self.shared.fs.stats;
@@ -105,6 +109,13 @@ impl Vfs {
         let probes = self.shared.addr_probe_steps;
         let stamp = self.shared.fs.content_stamp();
         let r = f(self);
+        // A nested bracket has already restored its own traffic, so
+        // each byte is counted once, by the innermost bracket.
+        let moved = |now: &crate::FsStats, was: &crate::FsStats| {
+            (now.bytes_read - was.bytes_read) + (now.bytes_written - was.bytes_written)
+        };
+        self.unpriced_bytes +=
+            moved(&self.root.stats, &root) + moved(&self.shared.fs.stats, &shared);
         self.root.stats = root;
         self.shared.fs.stats = shared;
         self.shared.addr_lookups = lookups;
@@ -115,6 +126,12 @@ impl Vfs {
         // must not see the stamp move.
         self.shared.fs.restore_content_stamp(stamp);
         r
+    }
+
+    /// Bytes read or written inside [`Vfs::unpriced`] so far (both
+    /// mounts). Deterministic: a pure function of the operations run.
+    pub fn unpriced_bytes(&self) -> u64 {
+        self.unpriced_bytes
     }
 
     /// Splits an absolute path into its mount and the path within it.
@@ -485,6 +502,7 @@ mod tests {
             v.read_all("/shared/seg").unwrap()
         });
         assert_eq!(got, b"payload");
+        assert_eq!(v.unpriced_bytes(), 6 + 7, "unpriced bytes are counted");
         assert_eq!(v.root.stats, root, "unpriced I/O must not bill the root fs");
         assert_eq!(
             v.shared.fs.stats, shared,

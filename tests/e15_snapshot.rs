@@ -33,6 +33,12 @@
 //!    the disk there, rebooting, and respawning behaves exactly like
 //!    the same recovery with snapshots disabled — hits only when the
 //!    record and every module it describes committed coherently.
+//! 6. **One write per lifetime**: each resolve only *stages* the record
+//!    (digests and stamp as of that link); it is written once, at exit,
+//!    kill, barrier or clean halt. A cold lazy chain writes exactly one
+//!    record, unpriced I/O grows linearly in the chain length, a fork
+//!    child that links nothing writes nothing, and a power cut before
+//!    exit loses only the staged record.
 
 use hemlock::{CostModel, ShareClass, TraceBuffer, World, WorldExit};
 use proptest::prelude::*;
@@ -238,10 +244,12 @@ fn shared_words(world: &mut World) -> Option<(u32, Vec<u32>)> {
 }
 
 /// `WorldStats` with the four snapshot counters (mirrors *and* the
-/// embedded `ldl` copies) masked off — the only fields allowed to
-/// differ between a snapshots-on and a snapshots-off cold run.
+/// embedded `ldl` copies) and `unpriced_bytes` (the snapshot cache's
+/// own I/O) masked off — the only fields allowed to differ between a
+/// snapshots-on and a snapshots-off cold run.
 fn masked_stats(world: &World) -> String {
     let mut stats = world.stats();
+    stats.unpriced_bytes = 0;
     stats.snapshot_hits = 0;
     stats.snapshot_misses = 0;
     stats.snapshot_invalidations = 0;
@@ -780,4 +788,363 @@ loop:   la   r8, count
         on_world.stats().snapshot_misses > 0,
         "the snapshot path must actually run"
     );
+}
+
+// --- 7. one write per lifetime (staged per link, flushed at exit) -----
+
+/// Installs an `n`-module lazy `.uses` chain plus a main that walks all
+/// of it (cf. `e2_lazy_linking`): `mod_i` calls `mod_{i+1}`, the last
+/// returns its index, so the program exits with `n - 1` after exactly
+/// `n - 1` lazy links (the tail has no references to resolve, so it is
+/// mapped linked). Each module exports a data word `pad<i>`. With
+/// `spin`, main then burns that many loop iterations before exiting,
+/// leaving a window in which every link is done but the process lives.
+fn build_lazy_chain(world: &mut World, n: usize, spin: u32) -> String {
+    for i in 0..n {
+        let body = if i + 1 < n {
+            format!(
+                ".module mod{i}\n.uses mod{next}\n.text\n.globl mod{i}_fn\n\
+                 mod{i}_fn: addi sp, sp, -8\nsw ra, 0(sp)\n\
+                 addi a0, a0, -1\nblez a0, stop\njal mod{next}_fn\n\
+                 b out\nstop: li v0, {i}\nout: lw ra, 0(sp)\naddi sp, sp, 8\njr ra\n\
+                 .data\n.globl pad{i}\npad{i}: .word 0\n",
+                next = i + 1
+            )
+        } else {
+            format!(
+                ".module mod{i}\n.text\n.globl mod{i}_fn\nmod{i}_fn: li v0, {i}\njr ra\n\
+                 .data\n.globl pad{i}\npad{i}: .word 0\n"
+            )
+        };
+        world
+            .install_template(&format!("/shared/lib/mod{i}.o"), &body)
+            .unwrap();
+    }
+    world
+        .install_template(
+            "/src/lazymain.o",
+            &format!(
+                ".module lazymain\n.text\n.globl main\nmain: addi sp, sp, -8\nsw ra, 0(sp)\n\
+                 li a0, {n}\njal mod0_fn\nli r9, {spin}\n\
+                 spin: blez r9, done\naddi r9, r9, -1\nb spin\n\
+                 done: lw ra, 0(sp)\naddi sp, sp, 8\njr ra\n"
+            ),
+        )
+        .unwrap();
+    world
+        .link(
+            "/bin/lazychain",
+            &[
+                ("/src/lazymain.o", ShareClass::StaticPrivate),
+                ("/shared/lib/mod0.o", ShareClass::DynamicPublic),
+            ],
+        )
+        .unwrap()
+}
+
+fn count_kind(world: &World, kind: &str) -> usize {
+    world
+        .trace()
+        .records()
+        .filter(|r| r.event.kind() == kind)
+        .count()
+}
+
+fn lazy_snap_path(world: &World) -> String {
+    hlink::snapshot::path_for(&world.kernel.vfs, "/bin/lazychain")
+}
+
+/// A fresh snapshots-on world with a trace ring big enough to keep
+/// every record of the scenario.
+fn traced_world() -> World {
+    let mut world = World::new();
+    world.set_link_snapshots(true);
+    *world.trace_mut() = TraceBuffer::new(1 << 20);
+    world
+}
+
+/// A cold lifetime of an n-module lazy chain performs n resolves (init
+/// plus a lazy link per module but the tail) but writes its prelink
+/// record exactly once, at exit.
+#[test]
+fn cold_chain_lifetime_writes_its_snapshot_once() {
+    const N: usize = 12;
+    let mut world = traced_world();
+    let exe = build_lazy_chain(&mut world, N, 0);
+    let (code, _) = run_prog(&mut world, &exe);
+    assert_eq!(code, N as i32 - 1, "log: {:?}", world.log);
+    let s = world.stats();
+    assert_eq!(
+        s.ldl.lazy_links,
+        N as u64 - 1,
+        "every module but the tail linked lazily"
+    );
+    assert_eq!(s.snapshot_misses, 1);
+    assert_eq!(s.snapshot_rebuilds, 1, "{s:?}");
+    assert_eq!(count_kind(&world, "SnapshotRebuilt"), 1);
+    let path = lazy_snap_path(&world);
+    let snap = hlink::snapshot::load(&mut world.kernel.vfs, &path)
+        .unwrap()
+        .expect("the exit flush wrote the record");
+    assert_eq!(snap.modules.len(), N, "the record holds the whole chain");
+    // Entries carried over from earlier stages must match the final
+    // link map as if built fresh: lazy bits and pendings moved after
+    // most entries were first staged.
+    let pid = world.kernel.procs.keys().copied().min().unwrap();
+    let state = world.link_state(pid).unwrap().clone();
+    for m in &snap.modules {
+        let live = &state.modules[&m.name];
+        assert_eq!(
+            (
+                m.base,
+                m.total_len,
+                m.lazy,
+                m.tramp,
+                &m.exports,
+                &m.pending,
+                &m.search
+            ),
+            (
+                live.base,
+                live.total_len,
+                live.lazy,
+                live.tramp,
+                &live.exports,
+                &live.pending,
+                &live.search
+            ),
+            "{}",
+            m.name
+        );
+        assert_eq!(m.parents, state.dag.parents_of(&m.name));
+        let bytes = world.kernel.vfs.read_all(&m.path).unwrap();
+        assert_eq!(m.content_digest, hobj::binfmt::crc32(&bytes), "{}", m.name);
+    }
+    // And the record is coherent: the next boot hits and runs right.
+    world.reboot();
+    assert_eq!(run_prog(&mut world, &exe).0, N as i32 - 1);
+    assert_eq!(world.stats().snapshot_hits, 1);
+}
+
+/// Unpriced snapshot I/O per module stays flat as the chain grows:
+/// each module is digested when it is linked, not again at every later
+/// link, and the record is written once. A rebuild-per-link design
+/// re-reads every linked module at every link, so its per-module
+/// figure grows with n.
+#[test]
+fn unpriced_bytes_grow_linearly_in_chain_length() {
+    let per_module: Vec<f64> = [10usize, 20, 40, 80, 160]
+        .iter()
+        .map(|&n| {
+            let mut world = World::new();
+            world.set_link_snapshots(true);
+            let exe = build_lazy_chain(&mut world, n, 0);
+            let before = world.stats().unpriced_bytes;
+            assert_eq!(run_prog(&mut world, &exe).0, n as i32 - 1);
+            let moved = world.stats().unpriced_bytes - before;
+            assert!(moved > 0, "n={n}: the snapshot path must run");
+            moved as f64 / n as f64
+        })
+        .collect();
+    let lo = per_module.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = per_module.iter().copied().fold(0.0, f64::max);
+    assert!(
+        hi <= 1.5 * lo,
+        "unpriced bytes per module must stay flat across n: {per_module:?}"
+    );
+}
+
+/// Rewriting a linked module's bytes between two lazy links of one
+/// lifetime: the flushed record carries that module's digest as of the
+/// *last* link (which saw the rewrite), not as of its own link. A
+/// second rewrite after the last link is not in the record, so the
+/// next boot rejects the record instead of believing it.
+#[test]
+fn rewrite_between_links_flushes_the_digest_as_of_the_last_link() {
+    const N: usize = 4;
+    let mut world = traced_world();
+    let exe = build_lazy_chain(&mut world, N, 20_000);
+    let pid = world.spawn(&exe).unwrap();
+    let lazy_links = |w: &World| w.ldl_stats(pid).unwrap().lazy_links;
+    while lazy_links(&world) < 1 {
+        assert_eq!(world.run(1), WorldExit::StepLimit, "log: {:?}", world.log);
+    }
+    world
+        .poke_shared_word("/shared/lib/mod0", "pad0", 0xA11C_E5ED)
+        .unwrap();
+    let after_rewrite =
+        hobj::binfmt::crc32(&world.kernel.vfs.read_all("/shared/lib/mod0").unwrap());
+    while lazy_links(&world) < N as u64 - 1 {
+        assert_eq!(world.run(1), WorldExit::StepLimit, "log: {:?}", world.log);
+    }
+    // Every link done, the process still spinning: rewrite again.
+    world
+        .poke_shared_word("/shared/lib/mod0", "pad0", 0xB0B0_B0B0)
+        .unwrap();
+    assert_eq!(world.run(RUN_SLICES), WorldExit::AllExited);
+    assert_eq!(world.exit_code(pid), Some(N as i32 - 1));
+    assert_eq!(world.stats().snapshot_rebuilds, 1);
+    let path = lazy_snap_path(&world);
+    let snap = hlink::snapshot::load(&mut world.kernel.vfs, &path)
+        .unwrap()
+        .expect("record written at exit");
+    let mod0 = snap.modules.iter().find(|m| m.name == "mod0").unwrap();
+    assert_eq!(
+        mod0.content_digest, after_rewrite,
+        "mod0's digest must be the one the last link saw"
+    );
+    // The record predates the second rewrite, so it must not validate.
+    world.reboot();
+    assert_eq!(run_prog(&mut world, &exe).0, N as i32 - 1);
+    let s = world.stats();
+    assert_eq!(s.snapshot_hits, 0, "{s:?}");
+    assert_eq!(s.snapshot_invalidations, 1, "{s:?}");
+}
+
+/// A module page poisoned (uncorrectably corrupt) when the record is
+/// staged: its digest cannot be taken, nothing is staged, and the
+/// lifetime — which dies touching the page — writes no record. The
+/// stored record from the earlier boot is left exactly as it was.
+#[test]
+fn poisoned_module_page_at_stage_time_writes_no_record() {
+    let mut world = traced_world();
+    let exe = build_chain(&mut world);
+    assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
+    world.barrier();
+    let path = snap_path(&world);
+    let stored = world.kernel.vfs.read_all(&path).unwrap();
+    let size = world.kernel.vfs.stat("/shared/lib/lib2").unwrap().size;
+    for b in 0..size.div_ceil(u64::from(hsfs::BLOCK_SIZE)) {
+        assert!(world.corrupt_shared_block("/shared/lib/lib2", b, hsfs::CorruptKind::BitRot));
+        assert!(world.corrupt_shared_replica("/shared/lib/lib2", b));
+    }
+    world.power_cut();
+    world.reboot();
+    assert!(world.poisoned_blocks() > 0, "log: {:?}", world.log);
+    let before = world.stats();
+    let pid = world.spawn(&exe).unwrap();
+    assert_eq!(world.run(RUN_SLICES), WorldExit::AllExited);
+    assert_eq!(world.exit_code(pid), Some(135), "log: {:?}", world.log);
+    let s = world.stats();
+    assert_eq!(s.snapshot_invalidations, before.snapshot_invalidations + 1);
+    assert_eq!(s.snapshot_rebuilds, before.snapshot_rebuilds, "{s:?}");
+    assert_eq!(world.kernel.vfs.read_all(&path).unwrap(), stored);
+}
+
+/// A fork child inherits its parent's link map but not its staged
+/// record: a child that links nothing writes nothing, and the parent's
+/// exit writes the lifetime's one record.
+#[test]
+fn fork_child_that_links_nothing_writes_nothing() {
+    let mut world = traced_world();
+    world.install_template("/shared/lib/lib1.o", LIB1).unwrap();
+    world.install_template("/shared/lib/lib2.o", LIB2).unwrap();
+    world
+        .install_template(
+            "/src/forker.o",
+            r#"
+.module forker
+.text
+.globl main
+main:   li   v0, 6              ; fork
+        syscall
+        beq  v0, r0, child
+        li   v0, 16             ; waitpid(any)
+        li   a0, 0
+        syscall
+        addi sp, sp, -8
+        sw   ra, 0(sp)
+        jal  f1
+        lw   ra, 0(sp)
+        addi sp, sp, 8
+        jr   ra
+child:  li   v0, 1              ; exit(7) before touching any module
+        li   a0, 7
+        syscall
+"#,
+        )
+        .unwrap();
+    let exe = world
+        .link(
+            "/bin/forker",
+            &[
+                ("/src/forker.o", ShareClass::StaticPrivate),
+                ("/shared/lib/lib1.o", ShareClass::DynamicPublic),
+                ("/shared/lib/lib2.o", ShareClass::DynamicPublic),
+            ],
+        )
+        .unwrap();
+    let (code, _) = run_prog(&mut world, &exe);
+    assert_eq!(code, CHAIN_ANSWER, "log: {:?}", world.log);
+    let parent = world.kernel.procs.keys().copied().min().unwrap();
+    assert_eq!(world.stats().kernel.forks, 1);
+    let writers: Vec<u32> = world
+        .trace()
+        .records()
+        .filter(|r| r.event.kind() == "SnapshotRebuilt")
+        .map(|r| r.pid)
+        .collect();
+    assert_eq!(writers, vec![parent], "only the parent writes");
+    assert_eq!(world.stats().snapshot_rebuilds, 1);
+}
+
+/// A power cut after every link but before exit: the staged record is
+/// lost with the machine, the next boot misses (never believes a record
+/// that was not written), re-resolves, and the program still exits
+/// with the right code.
+#[test]
+fn power_cut_before_exit_loses_only_the_staged_record() {
+    const N: usize = 6;
+    let mut world = traced_world();
+    let exe = build_lazy_chain(&mut world, N, 200_000);
+    world.barrier();
+    let pid = world.spawn(&exe).unwrap();
+    while world.ldl_stats(pid).unwrap().lazy_links < N as u64 - 1 {
+        assert_eq!(world.run(1), WorldExit::StepLimit, "log: {:?}", world.log);
+    }
+    assert!(world.link_state(pid).unwrap().snapshot_staged());
+    assert!(
+        world.kernel.vfs.read_all(&lazy_snap_path(&world)).is_err(),
+        "nothing is written before a flush point"
+    );
+    world.power_cut();
+    world.reboot();
+    let before = world.stats();
+    assert_eq!(run_prog(&mut world, &exe).0, N as i32 - 1);
+    let s = world.stats();
+    assert_eq!(s.snapshot_hits, before.snapshot_hits, "{s:?}");
+    assert_eq!(
+        (s.snapshot_misses + s.snapshot_invalidations)
+            - (before.snapshot_misses + before.snapshot_invalidations),
+        1,
+        "{s:?}"
+    );
+    assert_eq!(s.snapshot_rebuilds, before.snapshot_rebuilds + 1);
+}
+
+/// The other quiescent points: `World::barrier` stores the staged
+/// record of a process that is still running (so it survives a later
+/// power cut and the next boot hits), and so does a clean reboot.
+#[test]
+fn barrier_and_clean_halt_flush_live_processes() {
+    const N: usize = 6;
+    for via_barrier in [true, false] {
+        let mut world = traced_world();
+        let exe = build_lazy_chain(&mut world, N, 200_000);
+        let pid = world.spawn(&exe).unwrap();
+        while world.ldl_stats(pid).unwrap().lazy_links < N as u64 - 1 {
+            assert_eq!(world.run(1), WorldExit::StepLimit, "log: {:?}", world.log);
+        }
+        if via_barrier {
+            world.barrier();
+            assert!(!world.link_state(pid).unwrap().snapshot_staged());
+            assert_eq!(world.stats().snapshot_rebuilds, 1);
+            world.power_cut();
+        }
+        world.reboot();
+        assert_eq!(count_kind(&world, "SnapshotRebuilt"), 1);
+        assert_eq!(run_prog(&mut world, &exe).0, N as i32 - 1);
+        let s = world.stats();
+        assert_eq!(s.snapshot_hits, 1, "via_barrier={via_barrier}: {s:?}");
+    }
 }
