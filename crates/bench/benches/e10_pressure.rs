@@ -7,105 +7,10 @@
 //! bring evicted pages back). The rows pin both axes: the peak resident
 //! set each budget permits and the simulated time the thrash costs.
 
+use bench::fixtures::{build_pressure_world, spawn_worker, WORKERS};
 use bench::{report_detailed, run_ok, sim_delta, sim_time};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hemlock::{ShareClass, SimTime, World, WorldStats};
-
-/// Workers in the scenario (cf. `tests/e10_pressure.rs`).
-const WORKERS: usize = 4;
-
-/// Shared data: per-worker result slots, a completion counter, and the
-/// spin-lock word guarding it. Workers dirty this page, so eviction
-/// takes a writeback.
-const SHARED_DATA: &str = r#"
-.module shared_data
-.data
-.globl results
-results: .space 64
-.globl done_count
-done_count: .word 0
-.globl done_lock
-done_lock: .word 0
-"#;
-
-/// The worker: dirties its shared result slot early, churns three
-/// passes over a 4-page private buffer (the anon working set the pool
-/// must swap), then publishes its checksum and bumps `done_count`
-/// under the test-and-set lock.
-const WORKER: &str = r#"
-.module worker
-.text
-.globl main
-main:   la   r8, wid
-        lw   r16, 0(r8)
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r0, 0(r8)
-        li   r13, 3
-pass:   la   r8, buf
-        li   r9, 0
-        li   r10, 16384
-fill:   add  r11, r8, r9
-        add  r12, r9, r16
-        sw   r12, 0(r11)
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, fill
-        li   r17, 0
-        li   r9, 0
-sum:    add  r11, r8, r9
-        lw   r12, 0(r11)
-        add  r17, r17, r12
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, sum
-        addi r13, r13, -1
-        bgtz r13, pass
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r17, 0(r8)
-acq:    la   a0, done_lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq
-        la   r8, done_count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, done_lock
-        sw   r0, 0(r8)
-        or   a0, r17, r0
-        li   v0, 106           ; print_int(checksum)
-        syscall
-        li   v0, 0
-        jr   ra
-.data
-.globl wid
-wid:    .word 0
-.globl buf
-buf:    .space 16384
-"#;
-
-fn build_world() -> (World, String) {
-    let mut world = World::new();
-    world
-        .install_template("/shared/lib/shared_data.o", SHARED_DATA)
-        .unwrap();
-    world.install_template("/src/worker.o", WORKER).unwrap();
-    let exe = world
-        .link(
-            "/bin/worker",
-            &[
-                ("/src/worker.o", ShareClass::StaticPrivate),
-                ("/shared/lib/shared_data.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
-    (world, exe)
-}
+use hemlock::{SimTime, WorldStats};
 
 /// One pressured run: spawn `WORKERS` wid-patched workers under
 /// `budget` frames (or unbounded) on `cpus` simulated CPUs, run to
@@ -118,32 +23,15 @@ fn run_budget(budget: Option<u64>, cpus: u32) -> (WorldStats, SimTime, String) {
 }
 
 fn run_budget_cache(budget: Option<u64>, cpus: u32, cache: bool) -> (WorldStats, SimTime, String) {
-    let (mut world, exe) = build_world();
+    let (mut world, exe) = build_pressure_world();
     world.set_cpus(cpus);
     world.set_bbcache(cache);
     if let Some(frames) = budget {
         world.set_frame_budget(frames);
     }
-    let image_wid = {
-        let bytes = world.kernel.vfs.read_all(&exe).unwrap();
-        hobj::binfmt::decode_image(&bytes)
-            .unwrap()
-            .find_export("wid")
-            .unwrap()
-    };
-    let mut pids = Vec::new();
-    for id in 0..WORKERS {
-        let pid = world.spawn(&exe).unwrap();
-        let proc = world.kernel.procs.get_mut(&pid).unwrap();
-        proc.aspace
-            .write_bytes(
-                &mut world.kernel.vfs.shared,
-                image_wid,
-                &(id as u32).to_le_bytes(),
-            )
-            .unwrap();
-        pids.push(pid);
-    }
+    let pids: Vec<u32> = (0..WORKERS as u32)
+        .map(|id| spawn_worker(&mut world, &exe, id))
+        .collect();
     world.quantum = 300;
     let t0 = sim_time(&world);
     run_ok(&mut world);

@@ -6,36 +6,10 @@
 //! classes at run time; private classes pay *per process*, public
 //! classes once.
 
+use bench::fixtures::{COUNTER, MAIN};
 use bench::{report, run_ok, sim_time};
 use criterion::{criterion_group, criterion_main, Criterion};
 use hemlock::{ShareClass, World};
-
-const COUNTER: &str = r#"
-.module counter
-.text
-.globl bump
-bump:   la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        or   v0, r9, r0
-        jr   ra
-.data
-.globl count
-count:  .word 0
-"#;
-
-const MAIN: &str = r#"
-.module main
-.text
-.globl main
-main:   addi sp, sp, -8
-        sw   ra, 0(sp)
-        jal  bump
-        lw   ra, 0(sp)
-        addi sp, sp, 8
-        jr   ra
-"#;
 
 fn class_path(class: ShareClass) -> &'static str {
     if class.is_public() {

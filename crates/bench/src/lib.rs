@@ -12,6 +12,8 @@
 use hemlock::{CostModel, SimTime, World, WorldExit};
 use std::io::Write;
 
+pub mod fixtures;
+
 /// Prints one experiment's simulated results in a stable format that
 /// EXPERIMENTS.md quotes. When `BENCH_JSON_OUT` names a file, each row
 /// is also appended there as one JSON line (`{"bench":"<id>/<label>",

@@ -91,4 +91,6 @@ pub use hfault::{FaultHandle, FaultPlan, FaultSite, ALL_SITES};
 pub use hobj::ShareClass;
 pub use hsan::{LockId, Report, Sanitizer};
 pub use htrace::{TraceBuffer, TraceEvent, TraceRecord};
-pub use world::{ExitRecord, RaceRecord, Unsettled, WaitReason, World, WorldError, WorldExit};
+pub use world::{
+    switch_is_off, ExitRecord, RaceRecord, Unsettled, WaitReason, World, WorldError, WorldExit,
+};

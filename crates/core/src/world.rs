@@ -291,44 +291,28 @@ const LOG_KEEP: usize = 4096;
 /// runtime concludes the fault is unresolvable and kills it.
 const FAULT_LOOP_LIMIT: u32 = 64;
 
+/// Whether an on-by-default environment switch's value turns it off:
+/// `off`, `0` or `false`. Unset and every other value leave it on.
+pub fn switch_is_off(value: Option<&str>) -> bool {
+    matches!(value, Some("off" | "0" | "false"))
+}
+
 impl World {
     /// Creates a world with the conventional directory skeleton.
     pub fn new() -> World {
         let mut kernel = Kernel::new();
-        // `HVM_BBCACHE=off|0|false` disables the decoded basic-block
-        // cache (DESIGN.md §12) — the CI identity lanes re-prove every
-        // suite against the pure fetch+decode interpreter this way.
-        if let Ok(v) = std::env::var("HVM_BBCACHE") {
-            if matches!(v.as_str(), "off" | "0" | "false") {
-                kernel.set_bbcache(false);
-            }
+        let env_off = |name| switch_is_off(std::env::var(name).ok().as_deref());
+        // `HVM_BBCACHE=off` disables the decoded basic-block cache
+        // (DESIGN.md §12) — the CI identity lanes re-prove every suite
+        // against the pure fetch+decode interpreter this way.
+        if env_off("HVM_BBCACHE") {
+            kernel.set_bbcache(false);
         }
-        // `LDL_SNAPSHOT=off|0|false` disables persistent prelink
-        // snapshots (DESIGN.md §15) — the CI identity lanes re-prove
-        // every suite against full from-scratch resolution this way.
-        if let Ok(v) = std::env::var("LDL_SNAPSHOT") {
-            if matches!(v.as_str(), "off" | "0" | "false") {
-                kernel.set_link_snapshots(false);
-            }
-        }
-        // `HSFS_JOURNAL=off|0|false` disables the shared partition's
-        // block-write pipeline + journal (DESIGN.md §13) — the CI
-        // identity lane re-proves that a crash-free run is observably
-        // identical (and identically priced) either way.
-        if let Ok(v) = std::env::var("HSFS_JOURNAL") {
-            if matches!(v.as_str(), "off" | "0" | "false") {
-                kernel.vfs.shared.fs.set_durability(false);
-            }
-        }
-        // `HSFS_INTEGRITY=off|0|false` disables the end-to-end block
-        // checksums, replica region, and scrub machinery (DESIGN.md
-        // §14) — the CI identity lane re-proves that a corruption-free
-        // run is observably identical (and identically priced) either
-        // way.
-        if let Ok(v) = std::env::var("HSFS_INTEGRITY") {
-            if matches!(v.as_str(), "off" | "0" | "false") {
-                kernel.vfs.shared.fs.set_integrity(false);
-            }
+        // `LDL_SNAPSHOT=off` disables persistent prelink snapshots
+        // (DESIGN.md §15) — the CI identity lanes re-prove every suite
+        // against full from-scratch resolution this way.
+        if env_off("LDL_SNAPSHOT") {
+            kernel.set_link_snapshots(false);
         }
         for dir in [
             "/src",
@@ -1601,24 +1585,12 @@ impl World {
         self.kernel.vfs.shared.fs.set_crash_at(k, tear);
     }
 
-    /// Enables or disables the shared partition's durability pipeline
-    /// (see the `HSFS_JOURNAL` environment hook). Disabling makes every
-    /// write immediately durable — the pre-§13 behavior.
-    pub fn set_durability(&mut self, on: bool) {
-        self.kernel.vfs.shared.fs.set_durability(on);
-    }
-
     // --- disk integrity (DESIGN.md §14) ---
 
-    /// Enables or disables the end-to-end integrity machinery — block
-    /// checksums, self-describing address stamps, the replica region,
-    /// and scrub — on the shared partition (see the `HSFS_INTEGRITY`
-    /// environment hook). On by default with the durability pipeline.
-    pub fn set_integrity(&mut self, on: bool) {
-        self.kernel.vfs.shared.fs.set_integrity(on);
-    }
-
-    /// Whether the integrity machinery is on.
+    /// Whether the shared partition runs the end-to-end integrity
+    /// machinery — block checksums, self-describing address stamps,
+    /// the replica region, and scrub. It ships with the durability
+    /// pipeline, which the shared partition always has.
     pub fn integrity_enabled(&self) -> bool {
         self.kernel.vfs.shared.fs.integrity_enabled()
     }
@@ -1659,8 +1631,8 @@ impl World {
     /// every stamped block against the checksum region, heal each
     /// corrupt one from the replica region or the journal, poison what
     /// cannot be healed. Priced per verified block plus per repair;
-    /// every finding is journaled and counted. `None` when the
-    /// durability pipeline or integrity is off.
+    /// every finding is journaled and counted. `None` only for a
+    /// write-through file system, which the shared partition never is.
     pub fn scrub(&mut self) -> Option<hsfs::ScrubReport> {
         let report = self.kernel.vfs.shared.fs.scrub()?;
         self.blocks_scrubbed += report.blocks_scanned;
@@ -1994,5 +1966,21 @@ fn err_code(e: &LinkError) -> i32 {
         LinkError::Fs(fs) => -fs.errno(),
         LinkError::AccessDenied { .. } => -13,
         _ => -14,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::switch_is_off;
+
+    #[test]
+    fn only_off_zero_and_false_turn_a_switch_off() {
+        for v in ["off", "0", "false"] {
+            assert!(switch_is_off(Some(v)), "{v}");
+        }
+        for v in ["on", "1", "true", "", "OFF", " off", "no"] {
+            assert!(!switch_is_off(Some(v)), "{v:?}");
+        }
+        assert!(!switch_is_off(None));
     }
 }

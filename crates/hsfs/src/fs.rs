@@ -1082,7 +1082,7 @@ impl FileSystem {
     // --- durability: block-write pipeline + write-ahead journal ---
 
     /// Emits one journaled transaction into the block-write pipeline
-    /// (no-op when durability is off).
+    /// (no-op on a write-through file system).
     fn durable_tx(&mut self, payloads: Vec<Payload>) {
         if let Some(mut d) = self.durable.take() {
             d.tx(&self.faults, payloads);
@@ -1123,20 +1123,6 @@ impl FileSystem {
             d.stamp_all();
             self.durable = Some(Box::new(d));
         }
-    }
-
-    /// Enables or disables the pipeline (`(crash off)` bench mode).
-    pub fn set_durability(&mut self, on: bool) {
-        if on {
-            self.enable_durability();
-        } else {
-            self.durable = None;
-        }
-    }
-
-    /// Whether the pipeline is on.
-    pub fn durability_enabled(&self) -> bool {
-        self.durable.is_some()
     }
 
     /// Disk writes applied so far (the crash-point enumerator's clock).
@@ -1498,24 +1484,14 @@ impl FileSystem {
 
     // --- integrity: checksum region, scrub, repair, poison (DESIGN.md §14) ---
 
-    /// Whether the end-to-end integrity machinery is on (requires the
-    /// durable pipeline; on by default with it).
+    /// Whether the end-to-end integrity machinery is on: it ships with
+    /// the durable pipeline, so this is false only for a write-through
+    /// file system.
     pub fn integrity_enabled(&self) -> bool {
-        self.durable.as_ref().is_some_and(|d| d.integrity())
+        self.durable.is_some()
     }
 
-    /// Turns the integrity machinery on (restamping the whole disk) or
-    /// off (dropping all regions; the `(scrub off)` bench identity).
-    pub fn set_integrity(&mut self, on: bool) {
-        if let Some(d) = self.durable.as_deref_mut() {
-            d.set_integrity(on);
-        }
-        if !on {
-            self.poisoned.clear();
-        }
-    }
-
-    /// Blocks covered by the checksum region (0 with integrity off).
+    /// Blocks covered by the checksum region (0 when write-through).
     pub fn stamped_blocks(&self) -> u64 {
         self.durable.as_ref().map_or(0, |d| d.stamped_blocks())
     }
@@ -1585,7 +1561,7 @@ impl FileSystem {
     }
 
     /// One deterministic scrub pass: verify every stamped block, repair
-    /// each corrupt one. `None` when the pipeline or integrity is off.
+    /// each corrupt one. `None` on a write-through file system.
     /// The caller (the World) prices the pass and journals the findings.
     pub fn scrub(&mut self) -> Option<ScrubReport> {
         if !self.integrity_enabled() {

@@ -26,8 +26,9 @@
 //! barrier is guaranteed intact after any later crash.
 //!
 //! None of this touches [`crate::stats::FsStats`] or draws simulated
-//! time: the pipeline prices at exactly zero in crash-free runs
-//! (ISSUE 8's `(crash off)` bench identity), and recovery cost is billed
+//! time: the pipeline prices at exactly zero in crash-free runs (the
+//! e13 suite runs one script on a journaled and a write-through file
+//! system and asserts equal stats), and recovery cost is billed
 //! separately by the World at reboot.
 
 use crate::fs::{FileSystem, Ino};
@@ -353,10 +354,6 @@ pub struct Durable {
     dirty_whole: BTreeSet<Ino>,
     /// One-entry memo de-duplicating the per-store page marks.
     last_mark: Option<(Ino, u32)>,
-    /// End-to-end integrity machinery on/off (DESIGN.md §14). When off,
-    /// no stamps are kept, scrub is a no-op, and the corruption sites
-    /// are never consulted — the exact pre-integrity pipeline.
-    integrity: bool,
     /// The checksum region: trusted expected checksum per home block.
     /// Written in the shadow of each home write (no `disk_seq` tick —
     /// it shares fate with the data write it describes).
@@ -392,7 +389,6 @@ impl Durable {
             dirty_pages: BTreeMap::new(),
             dirty_whole: BTreeSet::new(),
             last_mark: None,
-            integrity: true,
             stamps: BTreeMap::new(),
             claims: BTreeMap::new(),
             replica: BTreeMap::new(),
@@ -407,32 +403,11 @@ impl Durable {
     /// contents and must survive the crash so boot verification can tell
     /// adopted corruption from legitimate data.
     pub(crate) fn adopt_integrity(&mut self, old: &mut Durable) {
-        self.integrity = old.integrity;
         self.stamps = std::mem::take(&mut old.stamps);
         self.claims = std::mem::take(&mut old.claims);
         self.replica = std::mem::take(&mut old.replica);
         self.data_blocks_written = old.data_blocks_written;
         self.integrity_blocks_written = old.integrity_blocks_written;
-    }
-
-    /// Whether the integrity machinery is on.
-    pub(crate) fn integrity(&self) -> bool {
-        self.integrity
-    }
-
-    /// Turns the integrity machinery on (restamping the whole disk) or
-    /// off (dropping all regions) — the `(scrub off)` bench identity.
-    pub(crate) fn set_integrity(&mut self, on: bool) {
-        if on == self.integrity {
-            return;
-        }
-        self.integrity = on;
-        self.stamps.clear();
-        self.claims.clear();
-        self.replica.clear();
-        if on {
-            self.stamp_all();
-        }
     }
 
     /// Blocks currently covered by the checksum region.
@@ -545,12 +520,7 @@ impl Durable {
         match u {
             Unit::Journal(rec) => self.journal.push(rec),
             Unit::Home(p) => {
-                // Silent-corruption chaos fires only on home data-block
-                // writes, and only with the integrity machinery on (the
-                // corruption model and its detector ship together, so an
-                // integrity-off run draws no extra RNG and stays
-                // stream-identical to the pre-integrity pipeline).
-                let silent = if self.integrity && matches!(p, Payload::WriteBlock { .. }) {
+                let silent = if matches!(p, Payload::WriteBlock { .. }) {
                     if faults.should_inject(FaultSite::BitRot) {
                         Some(CorruptKind::BitRot)
                     } else if faults.should_inject(FaultSite::MisdirectedWrite) {
@@ -648,11 +618,8 @@ impl Durable {
         self.stamp(ino, offset, bytes);
     }
 
-    /// Stamps every data block of the disk image (enable / set_integrity).
+    /// Stamps every data block of the disk image (enable path).
     pub(crate) fn stamp_all(&mut self) {
-        if !self.integrity {
-            return;
-        }
         let bs = crate::BLOCK_SIZE as u64;
         let mut work = Vec::new();
         self.disk.for_each_inode(|ino, kind| {
@@ -703,10 +670,6 @@ impl Durable {
     pub(crate) fn apply_home(&mut self, p: &Payload) {
         if matches!(p, Payload::WriteBlock { .. }) {
             self.data_blocks_written += 1;
-        }
-        if !self.integrity {
-            self.disk.apply_phys(p);
-            return;
         }
         match p {
             Payload::WriteBlock { ino, offset, bytes } => {
@@ -827,9 +790,6 @@ impl Durable {
     /// then content checksum against the checksum region.
     pub(crate) fn verify(&self) -> Vec<CorruptBlockInfo> {
         let mut out = Vec::new();
-        if !self.integrity {
-            return out;
-        }
         for (&(ino, offset), &expect) in &self.stamps {
             if let Some(&claim) = self.claims.get(&(ino, offset)) {
                 if claim != (ino, offset) {
@@ -908,7 +868,7 @@ impl Durable {
     /// Deterministically corrupts one stamped block on the disk image
     /// (test/diagnostic use only; mirrors the chaos sites' effects).
     pub(crate) fn corrupt_for_test(&mut self, ino: Ino, offset: u64, kind: CorruptKind) -> bool {
-        if !self.integrity || !self.stamps.contains_key(&(ino, offset)) {
+        if !self.stamps.contains_key(&(ino, offset)) {
             return false;
         }
         match kind {

@@ -22,275 +22,25 @@
 //!    its workers genuinely share instants on different CPUs, and the
 //!    lock-elided twin of the same schedule is still caught by hsan.
 
-use hemlock::{
-    CostModel, FaultPlan, FaultSite, ShareClass, TraceBuffer, TraceEvent, Unsettled, World,
-    WorldExit,
+use bench::fixtures::{
+    self, build_pressure_world, calibrated_half_budget, run_counter, settle_workers, spawn_worker,
+    trace_cost, trace_count, Replay, COUNTER_ELIDED, COUNTER_LOCKED, WORKERS,
 };
+use hemlock::{CostModel, FaultPlan, FaultSite, TraceBuffer, TraceEvent, World, WorldExit};
 use proptest::prelude::*;
 
-/// Scheduler slices before a run counts as unsettled.
-const SETTLE_SLICES: u64 = 400_000;
-
-/// Workers in the pressure scenario.
-const WORKERS: usize = 4;
-
-/// Shared data for the pressure workers (cf. `tests/e10_pressure.rs`).
-const SHARED_DATA: &str = r#"
-.module shared_data
-.data
-.globl results
-results: .space 64
-.globl done_count
-done_count: .word 0
-.globl done_lock
-done_lock: .word 0
-"#;
-
-/// The pressure worker: dirties its shared slot, churns a 4-page anon
-/// buffer (the working set reclaim must swap), then publishes its
-/// checksum under the TAS lock (cf. `tests/e10_pressure.rs`).
-const WORKER: &str = r#"
-.module worker
-.text
-.globl main
-main:   la   r8, wid
-        lw   r16, 0(r8)
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r0, 0(r8)
-        li   r13, 3
-pass:   la   r8, buf
-        li   r9, 0
-        li   r10, 16384
-fill:   add  r11, r8, r9
-        add  r12, r9, r16
-        sw   r12, 0(r11)
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, fill
-        li   r17, 0
-        li   r9, 0
-sum:    add  r11, r8, r9
-        lw   r12, 0(r11)
-        add  r17, r17, r12
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, sum
-        addi r13, r13, -1
-        bgtz r13, pass
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r17, 0(r8)
-acq:    la   a0, done_lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq
-        la   r8, done_count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, done_lock
-        sw   r0, 0(r8)
-        or   a0, r17, r0
-        li   v0, 106           ; print_int(checksum)
-        syscall
-        li   v0, 0
-        jr   ra
-.data
-.globl wid
-wid:    .word 0
-.globl buf
-buf:    .space 16384
-"#;
-
-/// TAS-guarded shared counter (cf. `tests/e9_sanitizer.rs`).
-const COUNTER_DATA: &str = r#"
-.module shcount
-.data
-.globl count
-count:  .word 0
-.globl lock
-lock:   .word 0
-"#;
-
-const COUNTER_LOCKED: &str = r#"
-.module worker
-.text
-.globl main
-main:   li   r16, 5
-loop:
-acq:    la   a0, lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq
-        la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, lock
-        sw   r0, 0(r8)
-        addi r16, r16, -1
-        bgtz r16, loop
-        li   v0, 0
-        jr   ra
-"#;
-
-const COUNTER_ELIDED: &str = r#"
-.module worker
-.text
-.globl main
-main:   li   r16, 5
-loop:   la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        addi r16, r16, -1
-        bgtz r16, loop
-        li   v0, 0
-        jr   ra
-"#;
-
-/// Everything a run is judged on for cross-CPU-count comparison.
-/// Simulated time is *not* here: contention is charged honestly, so
-/// time legitimately differs with the CPU count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Observables {
-    settled: Result<WorldExit, Unsettled>,
-    exits: Vec<Option<i32>>,
-    consoles: Vec<String>,
-    shared: Option<(u32, Vec<u32>)>,
-}
-
-/// Full fidelity for replay comparison: observables plus the clock and
-/// the whole trace stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Replay {
-    obs: Observables,
-    sim_ns: u64,
-    trace: Vec<String>,
-}
-
-fn build_pressure_world() -> (World, String) {
-    let mut world = World::new();
-    world
-        .install_template("/shared/lib/shared_data.o", SHARED_DATA)
-        .unwrap();
-    world.install_template("/src/worker.o", WORKER).unwrap();
-    let exe = world
-        .link(
-            "/bin/worker",
-            &[
-                ("/src/worker.o", ShareClass::StaticPrivate),
-                ("/shared/lib/shared_data.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
-    (world, exe)
-}
-
-/// Final shared memory of the pressure scenario.
-fn shared_words(world: &mut World) -> Option<(u32, Vec<u32>)> {
-    let inst = "/shared/lib/shared_data";
-    let ino = world.kernel.vfs.resolve(inst).ok()?.ino;
-    let base = {
-        let meta = world.registry.get(&mut world.kernel.vfs, ino)?;
-        meta.find_export("results").unwrap() - meta.base
-    };
-    let done = world.peek_shared_word(inst, "done_count").unwrap();
-    let bytes = world.kernel.vfs.shared.fs.file_bytes(ino).unwrap();
-    let results = (0..WORKERS)
-        .map(|i| {
-            let off = base as usize + 4 * i;
-            u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())
-        })
-        .collect();
-    Some((done, results))
-}
-
 /// Runs `workers` pressure workers on `cpus` CPUs under `budget` frames
-/// and collects every observable plus the full trace.
-fn run_pressured(
+/// and captures the full replay: observables, the clock, every trace
+/// record and `WorldStats`.
+fn run_smp(
     workers: usize,
     quantum: u64,
     cpus: u32,
     budget: Option<u64>,
     plan: Option<FaultPlan>,
 ) -> (Replay, World) {
-    let (mut world, exe) = build_pressure_world();
-    *world.trace_mut() = TraceBuffer::new(1 << 20);
-    world.set_cpus(cpus);
-    if let Some(frames) = budget {
-        world.set_frame_budget(frames);
-    }
-    if let Some(plan) = plan {
-        world.arm_faults(plan);
-    }
-    let image_wid = {
-        let bytes = world.kernel.vfs.read_all(&exe).unwrap();
-        hobj::binfmt::decode_image(&bytes)
-            .unwrap()
-            .find_export("wid")
-            .unwrap()
-    };
-    let mut pids = Vec::new();
-    for id in 0..workers {
-        let pid = world.spawn(&exe).unwrap();
-        let proc = world.kernel.procs.get_mut(&pid).unwrap();
-        proc.aspace
-            .write_bytes(
-                &mut world.kernel.vfs.shared,
-                image_wid,
-                &(id as u32).to_le_bytes(),
-            )
-            .unwrap();
-        pids.push(pid);
-    }
-    world.quantum = quantum;
-    let settled = world.run_to_settle(SETTLE_SLICES);
-    let shared = shared_words(&mut world);
-    let obs = Observables {
-        settled,
-        exits: pids.iter().map(|p| world.exit_code(*p)).collect(),
-        consoles: pids.iter().map(|p| world.console(*p)).collect(),
-        shared,
-    };
-    let replay = Replay {
-        obs,
-        sim_ns: CostModel::default().time(&world.stats()).0,
-        trace: world
-            .trace()
-            .records()
-            .map(|r| format!("{} {} {} {}", r.seq, r.pid, r.cost_ns, r.event))
-            .collect(),
-    };
-    (replay, world)
-}
-
-/// The unbounded peak working set, used to pick a binding budget.
-fn calibrated_half_budget() -> u64 {
-    let (_, world) = run_pressured(WORKERS, 300, 1, None, None);
-    (world.stats().peak_resident_frames / 2).max(1)
-}
-
-fn trace_count(world: &World, kind: &str) -> u64 {
-    world
-        .trace()
-        .records()
-        .filter(|r| r.event.kind() == kind)
-        .count() as u64
-}
-
-fn trace_cost(world: &World, kind: &str) -> u64 {
-    world
-        .trace()
-        .records()
-        .filter(|r| r.event.kind() == kind)
-        .map(|r| r.cost_ns)
-        .sum()
+    let (obs, world) = fixtures::run_pressured(workers, quantum, cpus, budget, plan, |_| {});
+    (Replay::capture(obs, &world, &[], |_| {}), world)
 }
 
 // --- 2. single-CPU identity ------------------------------------------
@@ -304,7 +54,7 @@ fn default_world_is_single_cpu_with_zero_smp_counters() {
     assert_eq!(world.cpus(), 1);
 
     let budget = calibrated_half_budget();
-    let (_, world) = run_pressured(WORKERS, 300, 1, Some(budget), None);
+    let (_, world) = run_smp(WORKERS, 300, 1, Some(budget), None);
     let stats = world.stats();
     assert!(stats.page_evictions > 0, "budget {budget} must bind");
     assert_eq!(stats.shootdowns, 0);
@@ -325,48 +75,13 @@ fn explicit_single_cpu_is_trace_identical_to_default() {
         let (mut world, exe) = build_pressure_world();
         *world.trace_mut() = TraceBuffer::new(1 << 20);
         world.set_frame_budget(budget);
-        let image_wid = {
-            let bytes = world.kernel.vfs.read_all(&exe).unwrap();
-            hobj::binfmt::decode_image(&bytes)
-                .unwrap()
-                .find_export("wid")
-                .unwrap()
-        };
-        let mut pids = Vec::new();
-        for id in 0..WORKERS {
-            let pid = world.spawn(&exe).unwrap();
-            let proc = world.kernel.procs.get_mut(&pid).unwrap();
-            proc.aspace
-                .write_bytes(
-                    &mut world.kernel.vfs.shared,
-                    image_wid,
-                    &(id as u32).to_le_bytes(),
-                )
-                .unwrap();
-            pids.push(pid);
-        }
-        world.quantum = 300;
-        let settled = world.run_to_settle(SETTLE_SLICES);
-        let shared = shared_words(&mut world);
-        (
-            Replay {
-                obs: Observables {
-                    settled,
-                    exits: pids.iter().map(|p| world.exit_code(*p)).collect(),
-                    consoles: pids.iter().map(|p| world.console(*p)).collect(),
-                    shared,
-                },
-                sim_ns: CostModel::default().time(&world.stats()).0,
-                trace: world
-                    .trace()
-                    .records()
-                    .map(|r| format!("{} {} {} {}", r.seq, r.pid, r.cost_ns, r.event))
-                    .collect(),
-            },
-            world,
-        )
+        let pids: Vec<u32> = (0..WORKERS as u32)
+            .map(|id| spawn_worker(&mut world, &exe, id))
+            .collect();
+        let obs = settle_workers(&mut world, &pids, 300);
+        (Replay::capture(obs, &world, &[], |_| {}), world)
     };
-    let (explicit, _) = run_pressured(WORKERS, 300, 1, Some(budget), None);
+    let (explicit, _) = run_smp(WORKERS, 300, 1, Some(budget), None);
     assert_eq!(explicit, default_run, "set_cpus(1) must be a no-op");
 }
 
@@ -386,11 +101,11 @@ proptest! {
     ) {
         let cpus = 1u32 << cpus_pow; // 1, 2, 4, 8
         let budget = calibrated_half_budget();
-        let (first, _) = run_pressured(WORKERS, quantum, cpus, Some(budget), None);
-        let (second, _) = run_pressured(WORKERS, quantum, cpus, Some(budget), None);
+        let (first, _) = run_smp(WORKERS, quantum, cpus, Some(budget), None);
+        let (second, _) = run_smp(WORKERS, quantum, cpus, Some(budget), None);
         prop_assert_eq!(&first, &second, "cpus={} must replay exactly", cpus);
 
-        let (single, _) = run_pressured(WORKERS, quantum, 1, Some(budget), None);
+        let (single, _) = run_smp(WORKERS, quantum, 1, Some(budget), None);
         prop_assert_eq!(
             &first.obs, &single.obs,
             "cpus={} changed a guest observable", cpus
@@ -408,7 +123,7 @@ proptest! {
 fn shootdowns_fire_and_reconcile_with_the_trace() {
     let budget = calibrated_half_budget();
     for cpus in [2u32, 4] {
-        let (replay, world) = run_pressured(WORKERS, 300, cpus, Some(budget), None);
+        let (replay, world) = run_smp(WORKERS, 300, cpus, Some(budget), None);
         assert_eq!(
             replay.obs.settled,
             Ok(WorldExit::AllExited),
@@ -446,13 +161,13 @@ fn shootdowns_fire_and_reconcile_with_the_trace() {
 /// traced, and it still changes no guest answer.
 #[test]
 fn steals_are_counted_and_traced() {
-    let (replay, world) = run_pressured(3, 200, 2, None, None);
+    let (replay, world) = run_smp(3, 200, 2, None, None);
     assert_eq!(replay.obs.settled, Ok(WorldExit::AllExited));
     let stats = world.stats();
     assert!(stats.cross_cpu_steals > 0, "3 workers on 2 CPUs must steal");
     assert_eq!(trace_count(&world, "CpuSteal"), stats.cross_cpu_steals);
 
-    let (single, _) = run_pressured(3, 200, 1, None, None);
+    let (single, _) = run_smp(3, 200, 1, None, None);
     assert_eq!(replay.obs, single.obs, "steals changed a guest observable");
 }
 
@@ -463,9 +178,9 @@ fn steals_are_counted_and_traced() {
 #[test]
 fn dropped_shootdown_ipis_are_retransmitted_and_billed() {
     let budget = calibrated_half_budget();
-    let (plain, plain_world) = run_pressured(WORKERS, 300, 4, Some(budget), None);
+    let (plain, plain_world) = run_smp(WORKERS, 300, 4, Some(budget), None);
     let plan = FaultPlan::new(7, 1_000_000).only(&[FaultSite::ShootdownDrop]);
-    let (chaos, chaos_world) = run_pressured(WORKERS, 300, 4, Some(budget), Some(plan));
+    let (chaos, chaos_world) = run_smp(WORKERS, 300, 4, Some(budget), Some(plan));
 
     assert_eq!(
         chaos.obs, plain.obs,
@@ -486,44 +201,11 @@ fn dropped_shootdown_ipis_are_retransmitted_and_billed() {
 
     // And the chaos run replays from its seed.
     let plan = FaultPlan::new(7, 1_000_000).only(&[FaultSite::ShootdownDrop]);
-    let (again, _) = run_pressured(WORKERS, 300, 4, Some(budget), Some(plan));
+    let (again, _) = run_smp(WORKERS, 300, 4, Some(budget), Some(plan));
     assert_eq!(again, chaos, "chaos outcome must replay from its seed");
 }
 
 // --- 4. cross-CPU locking --------------------------------------------
-
-fn run_counter(worker_src: &str, workers: usize, cpus: u32) -> (u32, World) {
-    let mut world = World::new();
-    world
-        .install_template("/shared/lib/shcount.o", COUNTER_DATA)
-        .unwrap();
-    world.install_template("/src/worker.o", worker_src).unwrap();
-    let exe = world
-        .link(
-            "/bin/worker",
-            &[
-                ("/src/worker.o", ShareClass::StaticPrivate),
-                ("/shared/lib/shcount.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
-    world.set_cpus(cpus);
-    world.arm_sanitizer();
-    let mut pids = Vec::new();
-    for _ in 0..workers {
-        pids.push(world.spawn(&exe).unwrap());
-    }
-    world.quantum = 50;
-    let exit = world.run_to_settle(SETTLE_SLICES).expect("world settles");
-    assert_eq!(exit, WorldExit::AllExited);
-    for pid in pids {
-        assert_eq!(world.exit_code(pid), Some(0));
-    }
-    let count = world
-        .peek_shared_word("/shared/lib/shcount", "count")
-        .unwrap();
-    (count, world)
-}
 
 /// The TAS acquire/release edges order memory accesses *across* CPUs:
 /// four workers hammering the counter from four CPUs in the same
@@ -532,14 +214,14 @@ fn run_counter(worker_src: &str, workers: usize, cpus: u32) -> (u32, World) {
 /// same sub-quantum on different CPUs are unordered, and hsan sees it.
 #[test]
 fn tas_counter_is_race_free_across_cpus_and_elided_twin_is_not() {
-    let (count, world) = run_counter(COUNTER_LOCKED, 4, 4);
+    let (count, world) = run_counter(COUNTER_LOCKED, 4, 4, |_| {});
     assert_eq!(count, 4 * 5, "locked counter must sum exactly");
     assert_eq!(world.stats().races_detected, 0, "log: {:?}", world.log);
     assert!(world.races().is_empty());
     let san = world.stats();
     assert!(san.sync_edges > 0, "TAS edges must be observed");
 
-    let (_, world) = run_counter(COUNTER_ELIDED, 4, 4);
+    let (_, world) = run_counter(COUNTER_ELIDED, 4, 4, |_| {});
     assert!(
         world.stats().races_detected >= 1,
         "elided lock must be reported across CPUs"
@@ -557,7 +239,7 @@ fn tas_counter_is_race_free_across_cpus_and_elided_twin_is_not() {
 /// world everything lands on CPU 0.
 #[test]
 fn sanitizer_sees_accesses_from_every_cpu() {
-    let (_, world) = run_counter(COUNTER_ELIDED, 4, 4);
+    let (_, world) = run_counter(COUNTER_ELIDED, 4, 4, |_| {});
     let san = world.sanitizer().expect("armed");
     let san = san.lock().unwrap();
     assert!(
@@ -566,7 +248,7 @@ fn sanitizer_sees_accesses_from_every_cpu() {
         san.cpu_accesses()
     );
 
-    let (_, world) = run_counter(COUNTER_ELIDED, 4, 1);
+    let (_, world) = run_counter(COUNTER_ELIDED, 4, 1, |_| {});
     let san = world.sanitizer().expect("armed");
     let san = san.lock().unwrap();
     assert_eq!(

@@ -32,105 +32,15 @@
 //! under memory pressure reclaims orphaned swap files instead of
 //! resurrecting them, seeded chaos crash points (`CrashPoint` /
 //! `CrashTear`) stay contained, and the whole pipeline adds *zero*
-//! simulated cost to crash-free runs.
+//! simulated cost to crash-free runs (a journaled and a write-through
+//! file system run one script to identical `FsStats`).
 
-use hemlock::{FaultPlan, FaultSite, ShareClass, World, WorldExit};
-use hsfs::FsError;
-
-/// Scheduler slices before a guest run counts as stuck.
-const RUN_SLICES: u64 = 200_000;
-
-/// CI sweep hook: `CRASH_SEED=<n>` folds extra entropy into the seeded
-/// chaos-crash plans, so the nightly matrix explores disjoint death
-/// points while any single run stays fully reproducible.
-fn crash_seed_offset() -> u64 {
-    std::env::var("CRASH_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// CI sweep hook: `CPUS=<n>` runs the seeded-chaos and pressure tests
-/// on an n-CPU world (default 1). The exhaustive enumeration pins both
-/// 1 and 4 CPUs explicitly; recovery must be CPU-count-independent.
-fn cpus_override() -> u32 {
-    std::env::var("CPUS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
-/// CI sweep hook: `PRESSURE_BUDGET=<frames>` overrides the frame
-/// budget of the crash-under-pressure test (cf. e10).
-fn budget_override() -> Option<u64> {
-    std::env::var("PRESSURE_BUDGET")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|b| *b > 0)
-}
-
-/// Deterministic byte pattern: recognizable, offset-sensitive.
-fn pat(tag: u8, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| tag.wrapping_add((i as u8).wrapping_mul(131)))
-        .collect()
-}
-
-// --- the counter module (cf. tests/persistence_and_admin.rs) ---
-
-const COUNTER: &str = r#"
-.module counter
-.text
-.globl bump
-bump:   la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        or   v0, r9, r0
-        jr   ra
-.data
-.globl count
-count:  .word 0
-"#;
-
-const MAIN: &str = r#"
-.module main
-.text
-.globl main
-main:   addi sp, sp, -8
-        sw   ra, 0(sp)
-        jal  bump
-        lw   ra, 0(sp)
-        addi sp, sp, 8
-        jr   ra
-"#;
-
-fn build_counter(world: &mut World) -> String {
-    world
-        .install_template("/shared/lib/counter.o", COUNTER)
-        .unwrap();
-    world.install_template("/src/main.o", MAIN).unwrap();
-    world
-        .link(
-            "/bin/p",
-            &[
-                ("/src/main.o", ShareClass::StaticPrivate),
-                ("/shared/lib/counter.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap()
-}
-
-fn run_prog(world: &mut World, exe: &str) -> i32 {
-    let pid = world.spawn(exe).unwrap();
-    assert_eq!(
-        world.run(RUN_SLICES),
-        WorldExit::AllExited,
-        "log: {:?}",
-        world.log
-    );
-    world.exit_code(pid).unwrap()
-}
+use bench::fixtures::{
+    budget_override, build_counter, build_pressure_world, cpus_override, crash_seed_offset,
+    expected_checksum, pat, run_prog, spawn_worker, WORKERS,
+};
+use hemlock::{FaultPlan, FaultSite, World, WorldExit};
+use hsfs::{FileSystem, FsConfig, FsError};
 
 // --- the canonical multi-segment workload ---
 
@@ -574,107 +484,13 @@ fn torn_write_heals_across_reboot() {
 
 // --- satellite: crash under pressure recycles swap files ---
 
-const SHARED_DATA: &str = r#"
-.module shared_data
-.data
-.globl results
-results: .space 64
-.globl done_count
-done_count: .word 0
-.globl done_lock
-done_lock: .word 0
-"#;
-
-const PRESSURE_WORKER: &str = r#"
-.module worker
-.text
-.globl main
-main:   la   r8, wid
-        lw   r16, 0(r8)
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r0, 0(r8)
-        li   r13, 3
-pass:   la   r8, buf
-        li   r9, 0
-        li   r10, 16384
-fill:   add  r11, r8, r9
-        add  r12, r9, r16
-        sw   r12, 0(r11)
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, fill
-        li   r17, 0
-        li   r9, 0
-sum:    add  r11, r8, r9
-        lw   r12, 0(r11)
-        add  r17, r17, r12
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, sum
-        addi r13, r13, -1
-        bgtz r13, pass
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r17, 0(r8)
-acq:    la   a0, done_lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq
-        la   r8, done_count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, done_lock
-        sw   r0, 0(r8)
-        or   a0, r17, r0
-        li   v0, 106           ; print_int(checksum)
-        syscall
-        li   v0, 0
-        jr   ra
-.data
-.globl wid
-wid:    .word 0
-.globl buf
-buf:    .space 16384
-"#;
-
-const PRESSURE_WORKERS: usize = 4;
-
-/// The checksum worker `id` prints (cf. e10): Σ over offsets of
-/// (offset + id), with a 256-byte stride over 16 KiB.
-fn expected_checksum(id: u32) -> u32 {
-    let touches = 16_384 / 256;
-    256 * (touches * (touches - 1) / 2) + touches * id
-}
-
 /// One pressured cycle on an already-built world: spawn the workers,
 /// run to completion, assert every checksum. Swap traffic is forced by
 /// the tight frame budget set at build time.
 fn pressure_cycle(world: &mut World, exe: &str) {
-    let image_wid = {
-        let bytes = world.kernel.vfs.read_all(exe).unwrap();
-        hobj::binfmt::decode_image(&bytes)
-            .unwrap()
-            .find_export("wid")
-            .unwrap()
-    };
-    let mut pids = Vec::new();
-    for id in 0..PRESSURE_WORKERS {
-        let pid = world.spawn(exe).unwrap();
-        let proc = world.kernel.procs.get_mut(&pid).unwrap();
-        proc.aspace
-            .write_bytes(
-                &mut world.kernel.vfs.shared,
-                image_wid,
-                &(id as u32).to_le_bytes(),
-            )
-            .unwrap();
-        pids.push(pid);
-    }
+    let pids: Vec<u32> = (0..WORKERS as u32)
+        .map(|id| spawn_worker(world, exe, id))
+        .collect();
     world.quantum = 300;
     assert_eq!(world.run(400_000), WorldExit::AllExited);
     for (id, pid) in pids.iter().enumerate() {
@@ -703,24 +519,9 @@ fn swap_entries(world: &mut World) -> Vec<String> {
 /// *recycle* the name with fresh content, not resurrect the old file.
 #[test]
 fn crash_under_pressure_recycles_swap_files() {
-    let mut world = World::new();
+    let (mut world, exe) = build_pressure_world();
     world.set_cpus(cpus_override());
     world.set_frame_budget(budget_override().unwrap_or(12));
-    world
-        .install_template("/shared/lib/shared_data.o", SHARED_DATA)
-        .unwrap();
-    world
-        .install_template("/src/worker.o", PRESSURE_WORKER)
-        .unwrap();
-    let exe = world
-        .link(
-            "/bin/worker",
-            &[
-                ("/src/worker.o", ShareClass::StaticPrivate),
-                ("/shared/lib/shared_data.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
     pressure_cycle(&mut world, &exe);
     let s1 = world.stats();
     assert!(s1.swap_outs > 0, "the budget must force swap traffic");
@@ -768,39 +569,59 @@ fn crash_under_pressure_recycles_swap_files() {
 
 // --- satellite: the pipeline is free when nothing crashes ---
 
-/// The acceptance bar for the whole subsystem: with the journal on,
-/// a crash-free run costs *exactly* the same simulated time as with
-/// the journal off, produces the same guest observables, and the same
-/// logical file-system state. Durability is paid for only at recovery.
+/// The acceptance bar for the whole subsystem: the pipeline prices at
+/// zero when nothing crashes. One scripted operation sequence, reaching
+/// every journaled operation the shared partition allows — create,
+/// mkdir, symlink, multi-block write, truncate, chmod, rename, unlink,
+/// rmdir and mapped-store dirt (it forbids hard links) — runs on a
+/// journaled shared partition and on the write-through path the root
+/// file system keeps. The two agree on every `FsStats` counter (the
+/// cost model's only view of the file system) and on the logical
+/// state, and after a barrier the journaled side's disk image equals
+/// its live tree. Durability is paid for only at recovery.
 #[test]
 fn pipeline_adds_zero_simulated_cost_when_crash_free() {
-    let run = |durable: bool| {
-        let mut world = World::new();
-        if !durable {
-            world.set_durability(false);
-        }
-        let _ = run_workload(&mut world);
-        let stats = world.stats();
-        assert_eq!(stats.crashes, 0);
-        assert_eq!(stats.journal_replays, 0);
-        assert_eq!(stats.recovery_ns, 0);
-        (
-            world.costs.time(&stats),
-            world.shared_digest(),
-            world
-                .peek_shared_word("/shared/lib/counter", "count")
-                .unwrap(),
-            stats.shared_fs,
-            stats.kernel.instructions,
-        )
+    const BS: usize = hsfs::BLOCK_SIZE as usize;
+    let script = |fs: &mut FileSystem| {
+        fs.mkdir_all("/data/sub", 0o755, 0).unwrap();
+        let a = fs.create_file("/data/a", 0o644, 0).unwrap();
+        fs.write_at(a, 2000, &pat(0xA1, 3 * BS)).unwrap();
+        fs.truncate(a, 9000).unwrap();
+        fs.truncate(a, 5 * BS as u64).unwrap();
+        fs.chmod(a, 0o600).unwrap();
+        fs.symlink("/data/a", "/data/link", 0).unwrap();
+        fs.create_file("/data/tmp", 0o644, 0).unwrap();
+        fs.rename("/data/tmp", "/data/b").unwrap();
+        fs.unlink("/data/link").unwrap();
+        fs.rmdir("/data/sub").unwrap();
+        fs.file_bytes_mut_stamped(a, 1).unwrap()[BS + 7] = 0x5A;
+        fs.file_bytes_mut(a).unwrap()[3] ^= 0xFF;
+        fs.barrier();
     };
-    let on = run(true);
-    let off = run(false);
-    assert_eq!(on.0, off.0, "the journal must not move simulated time");
-    assert_eq!(on.1, off.1, "the journal must not change logical state");
-    assert_eq!(on.2, off.2);
-    assert_eq!(on.3, off.3, "the journal must not touch FsStats");
-    assert_eq!(on.4, off.4);
+    let mut journaled = FileSystem::new(FsConfig::shared());
+    journaled.enable_durability();
+    let mut through = FileSystem::new(FsConfig::shared());
+    script(&mut journaled);
+    script(&mut through);
+    assert_eq!(
+        journaled.stats, through.stats,
+        "the journal must not touch FsStats"
+    );
+    assert_eq!(
+        journaled.state_digest(),
+        through.state_digest(),
+        "the journal must not change logical state"
+    );
+    assert_eq!(
+        journaled.disk_digest(),
+        Some(journaled.state_digest()),
+        "a barrier leaves the disk image equal to the live tree"
+    );
+    assert!(
+        journaled.write_amplification().1 > 0,
+        "the journaled side stamped its blocks"
+    );
+    assert_eq!(through.disk_digest(), None);
 }
 
 /// A clean reboot (no power cut) flushes the pipeline first: nothing

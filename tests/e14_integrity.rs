@@ -37,34 +37,17 @@
 //!    run, without an explicit `scrub()` call.
 //! 6. **The chaos sites replay from their seed** and everything they
 //!    inject self-heals while replicas are intact.
-//! 7. **Integrity off is an identity**: same observables, same
-//!    simulated time, zero integrity-region writes.
+//!
+//! That integrity is free on the crash-free path — stamping costs
+//! nothing until a scrub is asked for — is proven at the file-system
+//! level by `e13_crash::pipeline_adds_zero_simulated_cost_when_crash_free`.
 
-use hemlock::{FaultPlan, FaultSite, ShareClass, TraceEvent, World, WorldExit};
+use bench::fixtures::{
+    build_counter, chaos_seed_offset, cpus_override, pat, run_prog, trace_count, RUN_SLICES,
+};
+use hemlock::{FaultPlan, FaultSite, World, WorldExit};
 use hsfs::tools::{fsck_report, FsckKind};
 use hsfs::{CorruptKind, FsError};
-
-/// Scheduler slices before a guest run counts as stuck.
-const RUN_SLICES: u64 = 200_000;
-
-/// CI sweep hook: `CHAOS_SEED=<n>` folds extra entropy into the
-/// seeded corruption plans, so the nightly matrix explores disjoint
-/// injection schedules while any single run stays reproducible.
-fn chaos_seed_offset() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// CI sweep hook: `CPUS=<n>` runs the chaos test on an n-CPU world
-/// (default 1) — corruption and repair must be CPU-count-independent.
-fn cpus_override() -> u32 {
-    std::env::var("CPUS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
 
 /// CI sweep hook: `CORRUPT_SITE=<name>` restricts the seeded chaos to
 /// one corruption site (`bit_rot` / `misdirected_write` /
@@ -93,13 +76,6 @@ const ALL_KINDS: [CorruptKind; 3] = [
     CorruptKind::MisdirectedWrite,
 ];
 
-/// Deterministic byte pattern: recognizable, offset-sensitive.
-fn pat(tag: u8, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| tag.wrapping_add((i as u8).wrapping_mul(131)))
-        .collect()
-}
-
 /// A world holding one multi-block data segment whose every block is
 /// stamped (the shared partition is durable — and integrity-stamped —
 /// from birth).
@@ -111,66 +87,6 @@ fn data_world(tag: u8) -> World {
     vfs.write("/shared/data/f", 0, &pat(tag, (FILE_BLOCKS * BS) as usize))
         .unwrap();
     world
-}
-
-fn trace_count(world: &World, pred: impl Fn(&TraceEvent) -> bool) -> u64 {
-    world.trace().records().filter(|r| pred(&r.event)).count() as u64
-}
-
-// --- the counter module (cf. tests/e13_crash.rs) ---
-
-const COUNTER: &str = r#"
-.module counter
-.text
-.globl bump
-bump:   la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        or   v0, r9, r0
-        jr   ra
-.data
-.globl count
-count:  .word 0
-"#;
-
-const MAIN: &str = r#"
-.module main
-.text
-.globl main
-main:   addi sp, sp, -8
-        sw   ra, 0(sp)
-        jal  bump
-        lw   ra, 0(sp)
-        addi sp, sp, 8
-        jr   ra
-"#;
-
-fn build_counter(world: &mut World) -> String {
-    world
-        .install_template("/shared/lib/counter.o", COUNTER)
-        .unwrap();
-    world.install_template("/src/main.o", MAIN).unwrap();
-    world
-        .link(
-            "/bin/p",
-            &[
-                ("/src/main.o", ShareClass::StaticPrivate),
-                ("/shared/lib/counter.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap()
-}
-
-fn run_prog(world: &mut World, exe: &str) -> i32 {
-    let pid = world.spawn(exe).unwrap();
-    assert_eq!(
-        world.run(RUN_SLICES),
-        WorldExit::AllExited,
-        "log: {:?}",
-        world.log
-    );
-    world.exit_code(pid).unwrap()
 }
 
 /// Corrupts every stamped block of `path` on the medium, returning how
@@ -239,17 +155,8 @@ fn any_single_block_corruption_heals_invisibly() {
                 assert_eq!(s.blocks_repaired, 1);
                 assert_eq!(s.eio_kills, 0);
                 assert_eq!(s.blocks_scrubbed, twin_stats.blocks_scrubbed);
-                assert_eq!(
-                    trace_count(&world, |e| matches!(
-                        e,
-                        TraceEvent::CorruptionDetected { .. }
-                    )),
-                    1
-                );
-                assert_eq!(
-                    trace_count(&world, |e| matches!(e, TraceEvent::BlockRepaired { .. })),
-                    1
-                );
+                assert_eq!(trace_count(&world, "CorruptionDetected"), 1);
+                assert_eq!(trace_count(&world, "BlockRepaired"), 1);
                 assert_eq!(world.poisoned_blocks(), 0);
                 // Every observable matches the uninjected twin…
                 assert_eq!(world.shared_digest(), twin_live);
@@ -415,23 +322,11 @@ fn clean_scrub_is_a_priced_noop() {
     // No state change, and the pass itself is journaled.
     assert_eq!(world.shared_digest(), live);
     assert_eq!(world.kernel.vfs.shared.fs.disk_digest(), disk);
+    assert_eq!(trace_count(&world, "ScrubPass"), 1);
     assert_eq!(
-        trace_count(&world, |e| matches!(e, TraceEvent::ScrubPass { .. })),
-        1
-    );
-    assert_eq!(
-        trace_count(&world, |e| matches!(
-            e,
-            TraceEvent::CorruptionDetected { .. } | TraceEvent::BlockRepaired { .. }
-        )),
+        trace_count(&world, "CorruptionDetected") + trace_count(&world, "BlockRepaired"),
         0
     );
-    // With integrity off there is nothing to scrub — and no cost.
-    let mut off = data_world(0x42);
-    off.set_integrity(false);
-    assert!(!off.integrity_enabled());
-    assert!(off.scrub().is_none());
-    assert_eq!(off.costs.time(&off.stats()), t0);
 }
 
 // --- 5. the every-N-slices kernel scrub hook ---
@@ -455,7 +350,7 @@ fn periodic_scrub_heals_during_run() {
     assert_eq!(s.blocks_repaired, 1);
     assert_eq!(world.poisoned_blocks(), 0);
     assert!(
-        trace_count(&world, |e| matches!(e, TraceEvent::ScrubPass { .. })) > 0,
+        trace_count(&world, "ScrubPass") > 0,
         "scrub passes are journaled"
     );
     world.set_scrub_interval(None);
@@ -540,39 +435,4 @@ fn chaos_corruption_sites_replay_and_self_heal() {
         injected += first.0;
     }
     assert!(injected > 0, "a 20%-per-write plan must inject corruption");
-}
-
-// --- 7. integrity off is an identity ---
-
-/// With the machinery off (`HSFS_INTEGRITY=off` / `set_integrity`),
-/// a clean run is observable-for-observable identical — same guest
-/// output, same digests, same simulated time — and writes zero
-/// integrity-region blocks. (Integrity itself is also free on the
-/// crash-free path: stamping costs nothing until a scrub is asked
-/// for.)
-#[test]
-fn integrity_off_is_an_identity() {
-    let run = |on: bool| {
-        let mut world = World::new();
-        if !on {
-            world.set_integrity(false);
-        }
-        let exe = build_counter(&mut world);
-        let a = run_prog(&mut world, &exe);
-        let b = run_prog(&mut world, &exe);
-        let stats = world.stats();
-        let (data, integ) = world.write_amplification();
-        assert_eq!(integ == 0, !on, "integrity writes iff enabled");
-        assert!(data > 0);
-        (
-            a,
-            b,
-            world.shared_digest(),
-            world.costs.time(&stats),
-            stats.kernel.instructions,
-            stats.shared_fs,
-            data,
-        )
-    };
-    assert_eq!(run(true), run(false), "integrity must be free when clean");
 }

@@ -40,20 +40,13 @@
 //!    child that links nothing writes nothing, and a power cut before
 //!    exit loses only the staged record.
 
+use bench::fixtures::{
+    cpus_override, env_switch_on, pressure_worker, run_counter, run_prog, settle_workers,
+    spawn_run, spawn_worker, trace_count, Replay, COUNTER_ELIDED, RUN_SLICES, SHARED_DATA, WORKERS,
+};
+use bench::sim_time;
 use hemlock::{CostModel, ShareClass, TraceBuffer, World, WorldExit};
 use proptest::prelude::*;
-
-/// Scheduler slices before a run counts as stuck / unsettled.
-const RUN_SLICES: u64 = 200_000;
-const SETTLE_SLICES: u64 = 400_000;
-
-/// CI sweep hook: `CPUS=<n>` runs the crash sweep on an n-CPU world.
-fn cpus_override() -> u32 {
-    std::env::var("CPUS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
 
 // --- the pure-code chain (no data mutation ⇒ warm boots validate) ----
 
@@ -119,19 +112,13 @@ fn build_chain(world: &mut World) -> String {
 }
 
 /// Spawns, runs to completion, returns (exit code, console).
-fn run_prog(world: &mut World, exe: &str) -> (i32, String) {
-    let pid = world.spawn(exe).unwrap();
-    assert_eq!(
-        world.run(RUN_SLICES),
-        WorldExit::AllExited,
-        "log: {:?}",
-        world.log
-    );
+fn run_logged(world: &mut World, exe: &str) -> (i32, String) {
+    let pid = spawn_run(world, exe);
     (world.exit_code(pid).unwrap(), world.console(pid))
 }
 
 fn sim_ns(world: &World) -> u64 {
-    CostModel::default().time(&world.stats()).0
+    sim_time(world).0
 }
 
 fn snap_path(world: &World) -> String {
@@ -140,143 +127,17 @@ fn snap_path(world: &World) -> String {
 
 // --- 1. cold identity (the differential property) ---------------------
 
-/// The e12 pressure worker, linked as four *distinct* executables so
-/// the cold boot consults four distinct snapshot records — four free
-/// misses, four free rebuilds — instead of memoizing after the first.
-const SHARED_DATA: &str = r#"
-.module shared_data
-.data
-.globl results
-results: .space 64
-.globl done_count
-done_count: .word 0
-.globl done_lock
-done_lock: .word 0
-"#;
-
-const WORKER: &str = r#"
-.module worker
-.text
-.globl main
-main:   la   r8, wid
-        lw   r16, 0(r8)
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r0, 0(r8)
-        li   r13, 2
-pass:   la   r8, buf
-        li   r9, 0
-        li   r10, 8192
-fill:   add  r11, r8, r9
-        add  r12, r9, r16
-        sw   r12, 0(r11)
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, fill
-        li   r17, 0
-        li   r9, 0
-sum:    add  r11, r8, r9
-        lw   r12, 0(r11)
-        add  r17, r17, r12
-        addi r9, r9, 256
-        slt  r12, r9, r10
-        bne  r12, r0, sum
-        addi r13, r13, -1
-        bgtz r13, pass
-        la   r8, results
-        sll  r12, r16, 2
-        add  r8, r8, r12
-        sw   r17, 0(r8)
-acq:    la   a0, done_lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq
-        la   r8, done_count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, done_lock
-        sw   r0, 0(r8)
-        or   a0, r17, r0
-        li   v0, 106           ; print_int(checksum)
-        syscall
-        li   v0, 0
-        jr   ra
-.data
-.globl wid
-wid:    .word 0
-.globl buf
-buf:    .space 8192
-"#;
-
-const WORKERS: usize = 4;
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Replay {
-    settled: String,
-    exits: Vec<Option<i32>>,
-    consoles: Vec<String>,
-    shared: Option<(u32, Vec<u32>)>,
-    sim_ns: u64,
-    trace: Vec<String>,
-    stats: String,
-}
-
-/// Final shared memory of the pressure scenario (cf. `e12_bbcache.rs`).
-fn shared_words(world: &mut World) -> Option<(u32, Vec<u32>)> {
-    let inst = "/shared/lib/shared_data";
-    let ino = world.kernel.vfs.resolve(inst).ok()?.ino;
-    let base = {
-        let meta = world.registry.get(&mut world.kernel.vfs, ino)?;
-        meta.find_export("results").unwrap() - meta.base
-    };
-    let done = world.peek_shared_word(inst, "done_count").unwrap();
-    let bytes = world.kernel.vfs.shared.fs.file_bytes(ino).unwrap();
-    let results = (0..WORKERS)
-        .map(|i| {
-            let off = base as usize + 4 * i;
-            u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())
-        })
-        .collect();
-    Some((done, results))
-}
-
-/// `WorldStats` with the four snapshot counters (mirrors *and* the
-/// embedded `ldl` copies) and `unpriced_bytes` (the snapshot cache's
-/// own I/O) masked off — the only fields allowed to differ between a
-/// snapshots-on and a snapshots-off cold run.
-fn masked_stats(world: &World) -> String {
-    let mut stats = world.stats();
-    stats.unpriced_bytes = 0;
-    stats.snapshot_hits = 0;
-    stats.snapshot_misses = 0;
-    stats.snapshot_invalidations = 0;
-    stats.snapshot_rebuilds = 0;
-    stats.ldl.snapshot_hits = 0;
-    stats.ldl.snapshot_misses = 0;
-    stats.ldl.snapshot_invalidations = 0;
-    stats.ldl.snapshot_rebuilds = 0;
-    format!("{stats:?}")
-}
-
-/// The trace stream for comparison. `SnapshotMiss` and
-/// `SnapshotRebuilt` are the cache's own 0-cost diagnostics — they
-/// exist only on a snapshots-on run. `SnapshotHit` and
-/// `SnapshotInvalidated` are *priced*, so they stay in: one appearing
-/// on a cold run is an identity violation, not noise.
-fn comparable_trace(world: &World) -> Vec<String> {
-    world
-        .trace()
-        .records()
-        .filter(|r| !matches!(r.event.kind(), "SnapshotMiss" | "SnapshotRebuilt"))
-        .map(|r| format!("{} {} {}", r.pid, r.cost_ns, r.event))
-        .collect()
-}
-
-/// Runs the four-distinct-exe pressure scenario cold and collects
-/// every observable.
+/// Runs the pressure scenario cold with its (lighter: two passes over
+/// two pages) worker linked as four *distinct* executables, so the boot
+/// consults four distinct snapshot records — four free misses, four
+/// free rebuilds — instead of memoizing after the first. `SnapshotMiss`
+/// and `SnapshotRebuilt` are the cache's own 0-cost diagnostics and
+/// exist only on a snapshots-on run; `SnapshotHit` and
+/// `SnapshotInvalidated` are *priced*, so they stay in the compared
+/// trace (one on a cold run is an identity violation, not noise). The
+/// four snapshot counters (mirrors and `ldl` copies) and
+/// `unpriced_bytes` (the cache's own I/O) are the only `WorldStats`
+/// fields allowed to differ.
 fn run_cold(snapshots: bool, quantum: u64, cpus: u32) -> (Replay, World) {
     let mut world = World::new();
     *world.trace_mut() = TraceBuffer::new(1 << 20);
@@ -285,9 +146,11 @@ fn run_cold(snapshots: bool, quantum: u64, cpus: u32) -> (Replay, World) {
     world
         .install_template("/shared/lib/shared_data.o", SHARED_DATA)
         .unwrap();
-    world.install_template("/src/worker.o", WORKER).unwrap();
+    world
+        .install_template("/src/worker.o", &pressure_worker(2, 8192))
+        .unwrap();
     let mut pids = Vec::new();
-    for id in 0..WORKERS {
+    for id in 0..WORKERS as u32 {
         let exe = world
             .link(
                 &format!("/bin/worker{id}"),
@@ -297,36 +160,20 @@ fn run_cold(snapshots: bool, quantum: u64, cpus: u32) -> (Replay, World) {
                 ],
             )
             .unwrap();
-        let image_wid = {
-            let bytes = world.kernel.vfs.read_all(&exe).unwrap();
-            hobj::binfmt::decode_image(&bytes)
-                .unwrap()
-                .find_export("wid")
-                .unwrap()
-        };
-        let pid = world.spawn(&exe).unwrap();
-        let proc = world.kernel.procs.get_mut(&pid).unwrap();
-        proc.aspace
-            .write_bytes(
-                &mut world.kernel.vfs.shared,
-                image_wid,
-                &(id as u32).to_le_bytes(),
-            )
-            .unwrap();
-        pids.push(pid);
+        pids.push(spawn_worker(&mut world, &exe, id));
     }
-    world.quantum = quantum;
-    let settled = world.run_to_settle(SETTLE_SLICES);
-    let shared = shared_words(&mut world);
-    let replay = Replay {
-        settled: format!("{settled:?}"),
-        exits: pids.iter().map(|p| world.exit_code(*p)).collect(),
-        consoles: pids.iter().map(|p| world.console(*p)).collect(),
-        shared,
-        sim_ns: sim_ns(&world),
-        trace: comparable_trace(&world),
-        stats: masked_stats(&world),
-    };
+    let obs = settle_workers(&mut world, &pids, quantum);
+    let replay = Replay::capture(obs, &world, &["SnapshotMiss", "SnapshotRebuilt"], |s| {
+        s.unpriced_bytes = 0;
+        s.snapshot_hits = 0;
+        s.snapshot_misses = 0;
+        s.snapshot_invalidations = 0;
+        s.snapshot_rebuilds = 0;
+        s.ldl.snapshot_hits = 0;
+        s.ldl.snapshot_misses = 0;
+        s.ldl.snapshot_invalidations = 0;
+        s.ldl.snapshot_rebuilds = 0;
+    });
     (replay, world)
 }
 
@@ -379,11 +226,11 @@ proptest! {
             world.set_cpus(cpus);
             world.quantum = quantum;
             let exe = build_chain(&mut world);
-            let first = run_prog(&mut world, &exe);
+            let first = run_logged(&mut world, &exe);
             world.reboot();
             let t0 = sim_ns(&world);
             let resolved0 = world.stats().ldl.symbols_resolved;
-            let second = run_prog(&mut world, "/bin/chain");
+            let second = run_logged(&mut world, "/bin/chain");
             let stats = world.stats();
             (
                 first,
@@ -429,7 +276,7 @@ fn stale_snapshot_costs_exactly_one_validation() {
         let mut world = World::new();
         world.set_link_snapshots(snapshots);
         let exe = build_chain(&mut world);
-        assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
+        assert_eq!(run_prog(&mut world, &exe), CHAIN_ANSWER);
         world.reboot();
         // Dirty lib2's instance through its exported data word: the
         // code is untouched (same answer), but the content digest the
@@ -437,7 +284,7 @@ fn stale_snapshot_costs_exactly_one_validation() {
         world
             .poke_shared_word("/shared/lib/lib2", "pad", 0xDEAD_BEEF)
             .unwrap();
-        assert_eq!(run_prog(&mut world, "/bin/chain").0, CHAIN_ANSWER);
+        assert_eq!(run_prog(&mut world, "/bin/chain"), CHAIN_ANSWER);
         (sim_ns(&world), world.stats())
     };
     let (t_on, on) = run(true);
@@ -452,25 +299,22 @@ fn stale_snapshot_costs_exactly_one_validation() {
     );
 }
 
-/// The `LDL_SNAPSHOT=off` env hook disables the subsystem at
-/// `World::new` (the CI nightly matrix runs the whole suite this way).
+/// The `LDL_SNAPSHOT` env hook decides the subsystem at `World::new`
+/// (the CI nightly matrix runs the whole suite with `LDL_SNAPSHOT=off`):
+/// a fresh world follows the ambient environment, and a disabled one
+/// moves no snapshot counter and writes no snapshot file.
 #[test]
 fn env_hook_disables_snapshots() {
-    // Env mutation is process-global; keep the window tiny and restore.
-    std::env::set_var("LDL_SNAPSHOT", "off");
     let mut world = World::new();
-    std::env::remove_var("LDL_SNAPSHOT");
     let exe = build_chain(&mut world);
-    assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
+    assert_eq!(run_prog(&mut world, &exe), CHAIN_ANSWER);
     let s = world.stats();
+    let moved = s.snapshot_misses + s.snapshot_rebuilds + s.snapshot_hits;
+    assert_eq!(moved > 0, env_switch_on("LDL_SNAPSHOT"), "{s:?}");
     assert_eq!(
-        s.snapshot_misses + s.snapshot_rebuilds + s.snapshot_hits,
-        0,
-        "env-disabled snapshots moved: {s:?}"
-    );
-    assert!(
-        world.kernel.vfs.read_all(&snap_path(&world)).is_err(),
-        "no snapshot file may be written while disabled"
+        world.kernel.vfs.read_all(&snap_path(&world)).is_ok(),
+        env_switch_on("LDL_SNAPSHOT"),
+        "a snapshot file exists iff snapshots are on"
     );
 }
 
@@ -491,9 +335,9 @@ fn snapshot_counters_match_trace_record_counts() {
     // invalidation (stomped record) followed by a fresh rebuild. Each
     // phase gets its own boot: the snapshot is consulted once per
     // (executable, boot), so only a reboot re-opens the record.
-    assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
+    assert_eq!(run_prog(&mut world, &exe), CHAIN_ANSWER);
     world.reboot();
-    assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
+    assert_eq!(run_prog(&mut world, &exe), CHAIN_ANSWER);
     let path = snap_path(&world);
     world
         .kernel
@@ -501,20 +345,14 @@ fn snapshot_counters_match_trace_record_counts() {
         .write(&path, 8, &[0xFF, 0xFF, 0xFF])
         .unwrap();
     world.reboot();
-    assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
+    assert_eq!(run_prog(&mut world, &exe), CHAIN_ANSWER);
 
     let s = world.stats();
     assert!(s.snapshot_misses >= 1, "{s:?}");
     assert!(s.snapshot_hits >= 1, "{s:?}");
     assert!(s.snapshot_invalidations >= 1, "{s:?}");
     assert!(s.snapshot_rebuilds >= 2, "{s:?}");
-    let count = |kind: &str| {
-        world
-            .trace()
-            .records()
-            .filter(|r| r.event.kind() == kind)
-            .count() as u64
-    };
+    let count = |kind: &str| trace_count(&world, kind);
     assert_eq!(s.snapshot_hits, count("SnapshotHit"));
     assert_eq!(s.snapshot_misses, count("SnapshotMiss"));
     assert_eq!(s.snapshot_invalidations, count("SnapshotInvalidated"));
@@ -536,7 +374,7 @@ fn corrupt_and_respawn(mutate: impl FnOnce(&mut World, &str)) {
     let mut world = World::new();
     world.set_link_snapshots(true);
     let exe = build_chain(&mut world);
-    assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
+    assert_eq!(run_prog(&mut world, &exe), CHAIN_ANSWER);
     let path = snap_path(&world);
     assert!(
         !world.kernel.vfs.read_all(&path).unwrap().is_empty(),
@@ -545,7 +383,7 @@ fn corrupt_and_respawn(mutate: impl FnOnce(&mut World, &str)) {
     mutate(&mut world, &path);
     world.reboot();
     let before = world.stats().snapshot_invalidations;
-    assert_eq!(run_prog(&mut world, "/bin/chain").0, CHAIN_ANSWER);
+    assert_eq!(run_prog(&mut world, "/bin/chain"), CHAIN_ANSWER);
     let s = world.stats();
     assert_eq!(
         s.snapshot_invalidations,
@@ -591,12 +429,12 @@ fn removed_snapshot_is_a_miss_not_an_invalidation() {
     let mut world = World::new();
     world.set_link_snapshots(true);
     let exe = build_chain(&mut world);
-    assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
+    assert_eq!(run_prog(&mut world, &exe), CHAIN_ANSWER);
     let path = snap_path(&world);
     world.kernel.vfs.unlink(&path).unwrap();
     world.reboot();
     let before = world.stats();
-    assert_eq!(run_prog(&mut world, "/bin/chain").0, CHAIN_ANSWER);
+    assert_eq!(run_prog(&mut world, "/bin/chain"), CHAIN_ANSWER);
     let s = world.stats();
     assert_eq!(s.snapshot_misses, before.snapshot_misses + 1, "{s:?}");
     assert_eq!(
@@ -614,7 +452,7 @@ fn removed_snapshot_is_a_miss_not_an_invalidation() {
 fn chain_boot1(world: &mut World) {
     let exe = build_chain(world);
     world.barrier();
-    assert_eq!(run_prog(world, &exe).0, CHAIN_ANSWER);
+    assert_eq!(run_prog(world, &exe), CHAIN_ANSWER);
 }
 
 /// One crash run: die at write `k`, reboot, optionally disable
@@ -631,7 +469,7 @@ fn crash_respawn(k: u64, tear: bool, cpus: u32, snapshots: bool) -> (World, (i32
     world.power_cut();
     world.reboot();
     world.set_link_snapshots(snapshots);
-    let out = run_prog(&mut world, "/bin/chain");
+    let out = run_logged(&mut world, "/bin/chain");
     (world, out)
 }
 
@@ -650,7 +488,7 @@ fn crash_sweep_never_resurrects_a_stale_snapshot() {
         world.set_cpus(cpus);
         let exe = build_chain(&mut world);
         let ack = world.barrier();
-        assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
+        assert_eq!(run_prog(&mut world, &exe), CHAIN_ANSWER);
         (ack, world.disk_seq())
     };
     assert!(ack < total, "boot 1 must write after the barrier");
@@ -728,56 +566,9 @@ fn crash_sweep_never_resurrects_a_stale_snapshot() {
 /// the workers linked through a snapshot hit or a full resolve.
 #[test]
 fn sanitizer_verdicts_are_identical_with_snapshots_off() {
-    const COUNTER_DATA: &str = r#"
-.module shcount
-.data
-.globl count
-count:  .word 0
-"#;
-    const COUNTER_ELIDED: &str = r#"
-.module worker
-.text
-.globl main
-main:   li   r16, 5
-loop:   la   r8, count
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        addi r16, r16, -1
-        bgtz r16, loop
-        li   v0, 0
-        jr   ra
-"#;
     let run = |snapshots: bool| {
-        let mut world = World::new();
-        world.set_link_snapshots(snapshots);
-        world
-            .install_template("/shared/lib/shcount.o", COUNTER_DATA)
-            .unwrap();
-        world
-            .install_template("/src/worker.o", COUNTER_ELIDED)
-            .unwrap();
-        let exe = world
-            .link(
-                "/bin/worker",
-                &[
-                    ("/src/worker.o", ShareClass::StaticPrivate),
-                    ("/shared/lib/shcount.o", ShareClass::DynamicPublic),
-                ],
-            )
-            .unwrap();
-        world.set_cpus(4);
-        world.arm_sanitizer();
-        for _ in 0..4 {
-            world.spawn(&exe).unwrap();
-        }
-        world.quantum = 50;
-        assert_eq!(
-            world.run_to_settle(SETTLE_SLICES).expect("settles"),
-            WorldExit::AllExited
-        );
-        let races = world.races().to_vec();
-        (world.stats().races_detected, races, world)
+        let (_, world) = run_counter(COUNTER_ELIDED, 4, 4, |w| w.set_link_snapshots(snapshots));
+        (world.stats().races_detected, world.races().to_vec(), world)
     };
     let (on_count, on_races, on_world) = run(true);
     let (off_count, off_races, _) = run(false);
@@ -842,14 +633,6 @@ fn build_lazy_chain(world: &mut World, n: usize, spin: u32) -> String {
         .unwrap()
 }
 
-fn count_kind(world: &World, kind: &str) -> usize {
-    world
-        .trace()
-        .records()
-        .filter(|r| r.event.kind() == kind)
-        .count()
-}
-
 fn lazy_snap_path(world: &World) -> String {
     hlink::snapshot::path_for(&world.kernel.vfs, "/bin/lazychain")
 }
@@ -871,7 +654,7 @@ fn cold_chain_lifetime_writes_its_snapshot_once() {
     const N: usize = 12;
     let mut world = traced_world();
     let exe = build_lazy_chain(&mut world, N, 0);
-    let (code, _) = run_prog(&mut world, &exe);
+    let code = run_prog(&mut world, &exe);
     assert_eq!(code, N as i32 - 1, "log: {:?}", world.log);
     let s = world.stats();
     assert_eq!(
@@ -881,7 +664,7 @@ fn cold_chain_lifetime_writes_its_snapshot_once() {
     );
     assert_eq!(s.snapshot_misses, 1);
     assert_eq!(s.snapshot_rebuilds, 1, "{s:?}");
-    assert_eq!(count_kind(&world, "SnapshotRebuilt"), 1);
+    assert_eq!(trace_count(&world, "SnapshotRebuilt"), 1);
     let path = lazy_snap_path(&world);
     let snap = hlink::snapshot::load(&mut world.kernel.vfs, &path)
         .unwrap()
@@ -922,7 +705,7 @@ fn cold_chain_lifetime_writes_its_snapshot_once() {
     }
     // And the record is coherent: the next boot hits and runs right.
     world.reboot();
-    assert_eq!(run_prog(&mut world, &exe).0, N as i32 - 1);
+    assert_eq!(run_prog(&mut world, &exe), N as i32 - 1);
     assert_eq!(world.stats().snapshot_hits, 1);
 }
 
@@ -940,7 +723,7 @@ fn unpriced_bytes_grow_linearly_in_chain_length() {
             world.set_link_snapshots(true);
             let exe = build_lazy_chain(&mut world, n, 0);
             let before = world.stats().unpriced_bytes;
-            assert_eq!(run_prog(&mut world, &exe).0, n as i32 - 1);
+            assert_eq!(run_prog(&mut world, &exe), n as i32 - 1);
             let moved = world.stats().unpriced_bytes - before;
             assert!(moved > 0, "n={n}: the snapshot path must run");
             moved as f64 / n as f64
@@ -995,7 +778,7 @@ fn rewrite_between_links_flushes_the_digest_as_of_the_last_link() {
     );
     // The record predates the second rewrite, so it must not validate.
     world.reboot();
-    assert_eq!(run_prog(&mut world, &exe).0, N as i32 - 1);
+    assert_eq!(run_prog(&mut world, &exe), N as i32 - 1);
     let s = world.stats();
     assert_eq!(s.snapshot_hits, 0, "{s:?}");
     assert_eq!(s.snapshot_invalidations, 1, "{s:?}");
@@ -1009,7 +792,7 @@ fn rewrite_between_links_flushes_the_digest_as_of_the_last_link() {
 fn poisoned_module_page_at_stage_time_writes_no_record() {
     let mut world = traced_world();
     let exe = build_chain(&mut world);
-    assert_eq!(run_prog(&mut world, &exe).0, CHAIN_ANSWER);
+    assert_eq!(run_prog(&mut world, &exe), CHAIN_ANSWER);
     world.barrier();
     let path = snap_path(&world);
     let stored = world.kernel.vfs.read_all(&path).unwrap();
@@ -1074,7 +857,7 @@ child:  li   v0, 1              ; exit(7) before touching any module
             ],
         )
         .unwrap();
-    let (code, _) = run_prog(&mut world, &exe);
+    let code = run_prog(&mut world, &exe);
     assert_eq!(code, CHAIN_ANSWER, "log: {:?}", world.log);
     let parent = world.kernel.procs.keys().copied().min().unwrap();
     assert_eq!(world.stats().kernel.forks, 1);
@@ -1110,7 +893,7 @@ fn power_cut_before_exit_loses_only_the_staged_record() {
     world.power_cut();
     world.reboot();
     let before = world.stats();
-    assert_eq!(run_prog(&mut world, &exe).0, N as i32 - 1);
+    assert_eq!(run_prog(&mut world, &exe), N as i32 - 1);
     let s = world.stats();
     assert_eq!(s.snapshot_hits, before.snapshot_hits, "{s:?}");
     assert_eq!(
@@ -1142,8 +925,8 @@ fn barrier_and_clean_halt_flush_live_processes() {
             world.power_cut();
         }
         world.reboot();
-        assert_eq!(count_kind(&world, "SnapshotRebuilt"), 1);
-        assert_eq!(run_prog(&mut world, &exe).0, N as i32 - 1);
+        assert_eq!(trace_count(&world, "SnapshotRebuilt"), 1);
+        assert_eq!(run_prog(&mut world, &exe), N as i32 - 1);
         let s = world.stats();
         assert_eq!(s.snapshot_hits, 1, "via_barrier={via_barrier}: {s:?}");
     }

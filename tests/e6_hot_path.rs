@@ -7,19 +7,11 @@
 //! 2. The `htrace` ring records the paper's full §2 protocol in order:
 //!    fault → translate → map → resolve → restart.
 
-use hemlock::{ShareClass, TraceEvent, World, WorldExit};
+use bench::run_ok;
+use hemlock::{ShareClass, TraceEvent, World};
 use hkernel::{AddressSpace, MemBus, Prot};
 use hsfs::{SharedFs, PAGE_SIZE};
 use hvm::Bus;
-
-fn run_ok(world: &mut World) {
-    assert_eq!(
-        world.run_to_completion(),
-        WorldExit::AllExited,
-        "log: {:?}",
-        world.log
-    );
-}
 
 /// A world with one raw shared segment and a program that loads from it
 /// `touches` times; returns the world's final stats.

@@ -14,6 +14,7 @@
 //!   `htrace` journal (`FaultInjected` / `RecoveryTaken` records);
 //! * the entire outcome replays exactly from the seed.
 
+use bench::fixtures::{chaos_seed_offset, cpus_override, env_switch_on, SETTLE_SLICES};
 use hemlock::{FaultPlan, FaultSite, ShareClass, Unsettled, World, WorldExit};
 use proptest::prelude::*;
 
@@ -25,39 +26,6 @@ const RATE_BOUND_PPM: u32 = 50_000;
 
 /// Processes spawned per scenario.
 const NPROCS: usize = 3;
-
-/// Extra entropy folded into every generated plan seed, so the CI chaos
-/// job's seed matrix (`CHAOS_SEED=1..n`) explores disjoint schedules
-/// while any single run stays fully reproducible.
-fn chaos_seed_offset() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// CI sweep hook: `CPUS=<n>` runs the whole suite on an n-CPU world
-/// (default 1). Every containment and replay property must hold for
-/// any CPU count — the interleave is deterministic either way.
-fn cpus_override() -> u32 {
-    std::env::var("CPUS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
-/// Scheduler slices before a run counts as unsettled.
-const SETTLE_SLICES: u64 = 400_000;
-
-/// Mirrors the `LDL_SNAPSHOT` env hook (the nightly matrix also runs
-/// this suite with prelink snapshots disabled): the snapshot-corruption
-/// site can only fire while the subsystem is on.
-fn snapshots_enabled() -> bool {
-    !matches!(
-        std::env::var("LDL_SNAPSHOT").ok().as_deref(),
-        Some("off") | Some("0") | Some("false")
-    )
-}
 
 /// Builds the scenario world: a *pure* public module (no mutable shared
 /// state, so each process's output is independent of the others' fate)
@@ -351,7 +319,7 @@ fn full_rate_per_site_is_contained() {
         // The identity matrix also runs this suite with
         // `LDL_SNAPSHOT=off`; a disabled subsystem never reads
         // snapshot bytes, so there is nothing to corrupt.
-        if site == FaultSite::SnapshotCorrupt && !snapshots_enabled() {
+        if site == FaultSite::SnapshotCorrupt && !env_switch_on("LDL_SNAPSHOT") {
             assert_eq!(out.injected, 0, "disabled snapshots must not consult");
             continue;
         }

@@ -16,92 +16,11 @@
 //!    with fault injection report no races, and the sanitizer does not
 //!    perturb chaos determinism.
 
+use bench::fixtures::{
+    build_counter_world, cpus_override, COUNTER_ELIDED, COUNTER_LOCKED, SETTLE_SLICES,
+};
 use hemlock::{CostModel, FaultPlan, ShareClass, World, WorldExit};
 use proptest::prelude::*;
-
-/// Scheduler slices before a run counts as unsettled.
-const SETTLE_SLICES: u64 = 400_000;
-
-/// CI sweep hook: `CPUS=<n>` runs the whole suite on an n-CPU world
-/// (default 1). The sanitizer's verdicts are schedule-dependent but
-/// must stay deterministic and false-positive-free for any CPU count.
-fn cpus_override() -> u32 {
-    std::env::var("CPUS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
-/// The shared data of the counter application: the counter and the
-/// spin-lock word that guards it (cf. `examples/parallel.rs`).
-const SHARED_DATA: &str = r#"
-.module shcount
-.data
-.globl count
-count:  .word 0
-.globl lock
-lock:   .word 0
-"#;
-
-/// A worker that increments `count` ITERS times under the test-and-set
-/// spin lock.
-const WORKER_LOCKED: &str = r#"
-.module worker
-.text
-.globl main
-main:   li   r16, 5            ; iterations
-loop:
-acq:    la   a0, lock
-        li   a1, 1
-        li   v0, 102           ; SVC_TAS
-        syscall
-        bne  v0, r0, acq       ; spin while old value was 1
-        la   r8, count         ; critical section: count += 1
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        la   r8, lock          ; unlock
-        sw   r0, 0(r8)
-        addi r16, r16, -1
-        bgtz r16, loop
-        li   v0, 0
-        jr   ra
-"#;
-
-/// The same worker with the lock elided — the seeded race.
-const WORKER_ELIDED: &str = r#"
-.module worker
-.text
-.globl main
-main:   li   r16, 5            ; iterations
-loop:   la   r8, count         ; unguarded: count += 1
-        lw   r9, 0(r8)
-        addi r9, r9, 1
-        sw   r9, 0(r8)
-        addi r16, r16, -1
-        bgtz r16, loop
-        li   v0, 0
-        jr   ra
-"#;
-
-/// Builds the counter world and returns it with the executable path.
-fn build_counter_world(worker_src: &str) -> (World, String) {
-    let mut world = World::new();
-    world
-        .install_template("/shared/lib/shcount.o", SHARED_DATA)
-        .unwrap();
-    world.install_template("/src/worker.o", worker_src).unwrap();
-    let exe = world
-        .link(
-            "/bin/worker",
-            &[
-                ("/src/worker.o", ShareClass::StaticPrivate),
-                ("/shared/lib/shcount.o", ShareClass::DynamicPublic),
-            ],
-        )
-        .unwrap();
-    (world, exe)
-}
 
 /// Everything a differential run is judged on.
 #[derive(Debug, PartialEq, Eq)]
@@ -162,7 +81,7 @@ fn export_offset(world: &mut World, instance: &str, symbol: &str) -> u32 {
 /// the final counter value. The sanitizer watches; it never touches.
 #[test]
 fn armed_run_is_observably_identical() {
-    for (src, label) in [(WORKER_LOCKED, "locked"), (WORKER_ELIDED, "elided")] {
+    for (src, label) in [(COUNTER_LOCKED, "locked"), (COUNTER_ELIDED, "elided")] {
         let (unarmed, _) = run_counter(src, 3, 50, false);
         let (armed, world) = run_counter(src, 3, 50, true);
         assert_eq!(unarmed, armed, "{label}: armed run perturbed the guest");
@@ -175,7 +94,7 @@ fn armed_run_is_observably_identical() {
 /// The unarmed fast path stays free: no sanitizer counters move.
 #[test]
 fn unarmed_world_reports_nothing() {
-    let (_, world) = run_counter(WORKER_ELIDED, 3, 50, false);
+    let (_, world) = run_counter(COUNTER_ELIDED, 3, 50, false);
     let stats = world.stats();
     assert!(!world.sanitizer_armed());
     assert_eq!(stats.races_detected, 0);
@@ -199,14 +118,14 @@ proptest! {
         workers in 2usize..5,
     ) {
         // Disciplined: zero reports, correct sum.
-        let (obs, world) = run_counter(WORKER_LOCKED, workers, quantum, true);
+        let (obs, world) = run_counter(COUNTER_LOCKED, workers, quantum, true);
         prop_assert_eq!(world.stats().races_detected, 0, "log: {:?}", world.log);
         prop_assert!(world.races().is_empty());
         prop_assert_eq!(obs.count, workers as u32 * 5);
         prop_assert_eq!(obs.exit, WorldExit::AllExited);
 
         // Lock-elided: the race is reported and located.
-        let (_, mut world) = run_counter(WORKER_ELIDED, workers, quantum, true);
+        let (_, mut world) = run_counter(COUNTER_ELIDED, workers, quantum, true);
         let stats = world.stats();
         prop_assert!(stats.races_detected >= 1, "elided lock went unreported");
         let count_off = export_offset(&mut world, "/shared/lib/shcount", "count");
@@ -227,7 +146,7 @@ proptest! {
 /// worker module's text and differ only by the access kind.
 #[test]
 fn race_report_names_both_pcs_and_the_segment() {
-    let (_, world) = run_counter(WORKER_ELIDED, 3, 50, true);
+    let (_, world) = run_counter(COUNTER_ELIDED, 3, 50, true);
     let races = world.races();
     assert!(!races.is_empty(), "log: {:?}", world.log);
     let r = &races[0];
@@ -255,7 +174,7 @@ fn race_report_names_both_pcs_and_the_segment() {
 /// word, and each word is reported at most once.
 #[test]
 fn one_report_per_raced_word() {
-    let (_, world) = run_counter(WORKER_ELIDED, 4, 30, true);
+    let (_, world) = run_counter(COUNTER_ELIDED, 4, 30, true);
     let races = world.races();
     let mut offsets: Vec<u32> = races.iter().map(|r| r.offset).collect();
     offsets.sort_unstable();
@@ -274,7 +193,7 @@ fn one_report_per_raced_word() {
 #[test]
 fn armed_run_is_identical_under_thrash() {
     let run_pressured = |armed: bool, budget: Option<u64>| {
-        let (mut world, exe) = build_counter_world(WORKER_LOCKED);
+        let (mut world, exe) = build_counter_world(COUNTER_LOCKED);
         if let Some(frames) = budget {
             world.set_frame_budget(frames);
         }
