@@ -221,6 +221,9 @@ pub struct World {
     pub registry: ModuleRegistry,
     link: HashMap<Pid, LinkState>,
     images: HashMap<Pid, Arc<LoadImage>>,
+    /// Recorded exit statuses. Bounded like [`World::log`]: once it
+    /// holds more than `2 × EXITS_KEEP` statuses, the start of each
+    /// [`World::run`] keeps only the newest `EXITS_KEEP` pids.
     exits: HashMap<Pid, i32>,
     fault_guard: HashMap<Pid, (u32, u32)>,
     /// Runtime diagnostics (linker warnings, kill reasons). Bounded:
@@ -286,6 +289,9 @@ impl Default for World {
 
 /// Log lines a world keeps once its log outgrows twice this many.
 const LOG_KEEP: usize = 4096;
+
+/// Exit statuses a world keeps once it holds more than twice this many.
+const EXITS_KEEP: usize = 4096;
 
 /// How many identical consecutive faults a process may take before the
 /// runtime concludes the fault is unresolvable and kills it.
@@ -805,6 +811,7 @@ impl World {
     /// Runs the world for up to `max_slices` scheduler slices.
     pub fn run(&mut self, max_slices: u64) -> WorldExit {
         self.trim_log();
+        self.trim_exits();
         for _ in 0..max_slices {
             self.sync_processes();
             let ev = self.kernel.step_system(self.quantum);
@@ -974,6 +981,12 @@ impl World {
     }
 
     /// The recorded exit status of a process.
+    ///
+    /// Statuses are kept for the newest pids only: once more than
+    /// `2 × 4096` are recorded, the next [`World::run`] forgets all but
+    /// the newest 4096 (pids only grow, across boots too). An older
+    /// pid then reads `None` unless the kernel still holds it as a
+    /// zombie.
     pub fn exit_code(&self, pid: Pid) -> Option<i32> {
         self.exits
             .get(&pid)
@@ -988,6 +1001,16 @@ impl World {
     fn trim_log(&mut self) {
         if self.log.len() > 2 * LOG_KEEP {
             self.log.drain(..self.log.len() - LOG_KEEP);
+        }
+    }
+
+    /// Applies the bound on [`World::exit_code`]'s statuses.
+    fn trim_exits(&mut self) {
+        if self.exits.len() > 2 * EXITS_KEEP {
+            let mut pids: Vec<Pid> = self.exits.keys().copied().collect();
+            let cut = pids.len() - EXITS_KEEP;
+            let (_, &mut oldest_kept, _) = pids.select_nth_unstable(cut);
+            self.exits.retain(|&pid, _| pid >= oldest_kept);
         }
     }
 
@@ -1971,7 +1994,81 @@ fn err_code(e: &LinkError) -> i32 {
 
 #[cfg(test)]
 mod tests {
-    use super::switch_is_off;
+    use super::{switch_is_off, World, WorldExit, EXITS_KEEP};
+    use hobj::ShareClass;
+
+    /// A parent that forks and reaps more than `2 × 8192` children, each
+    /// exiting with its index, run in short slices: the recorded exit
+    /// statuses stay bounded, and the newest are still readable.
+    #[test]
+    fn exit_statuses_stay_bounded_over_many_lifetimes() {
+        const CHILDREN: u32 = 2 * 8192 + 500;
+        let mut world = World::new();
+        world
+            .install_template(
+                "/src/forkmany.o",
+                &format!(
+                    r#"
+.module forkmany
+.text
+.globl main
+main:   li   r16, 0
+loop:   li   r9, {CHILDREN}
+        beq  r16, r9, done
+        li   v0, 6              ; fork
+        syscall
+        beq  v0, r0, child
+        li   v0, 16             ; waitpid(any)
+        li   a0, 0
+        syscall
+        addi r16, r16, 1
+        b    loop
+done:   li   v0, 0
+        jr   ra
+child:  or   a0, r16, r0        ; exit(index)
+        li   v0, 1
+        syscall
+"#
+                ),
+            )
+            .unwrap();
+        let exe = world
+            .link(
+                "/bin/forkmany",
+                &[("/src/forkmany.o", ShareClass::StaticPrivate)],
+            )
+            .unwrap();
+        let parent = world.spawn(&exe).unwrap();
+        let mut peak = 0;
+        loop {
+            let exit = world.run(1_000);
+            peak = peak.max(world.exits.len());
+            if exit == WorldExit::AllExited {
+                break;
+            }
+            assert_eq!(exit, WorldExit::StepLimit, "log: {:?}", world.log);
+        }
+        assert_eq!(world.exit_code(parent), Some(0), "log: {:?}", world.log);
+        assert_eq!(world.stats().kernel.forks, u64::from(CHILDREN));
+        assert!(
+            peak <= 2 * EXITS_KEEP + 1_000,
+            "exit statuses grew to {peak}"
+        );
+        // Children exit in fork order with their index; the newest
+        // statuses survive every trim.
+        let mut children: Vec<_> = world
+            .exits
+            .keys()
+            .copied()
+            .filter(|&p| p != parent)
+            .collect();
+        children.sort_unstable();
+        assert!(children.len() >= EXITS_KEEP);
+        for (back, &pid) in children.iter().rev().take(EXITS_KEEP).enumerate() {
+            let index = CHILDREN as i32 - 1 - back as i32;
+            assert_eq!(world.exit_code(pid), Some(index), "pid {pid}");
+        }
+    }
 
     #[test]
     fn only_off_zero_and_false_turn_a_switch_off() {

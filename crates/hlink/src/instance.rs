@@ -20,7 +20,7 @@ use crate::tramp::{reserve_for, TrampolineArea};
 use hobj::reloc::patch_word;
 use hobj::{binfmt, ImageReloc, Object, RelocKind, SectionId};
 use hsfs::vfs::Mount;
-use hsfs::{FsError, Ino, LockKind, SharedFs, Vfs, PAGE_SIZE};
+use hsfs::{ChangeLog, FsError, Ino, LockKind, SharedFs, Vfs, PAGE_SIZE};
 use std::collections::HashMap;
 
 /// Where each piece of a module lands relative to its base.
@@ -227,10 +227,15 @@ pub fn apply_with_trampoline(
 #[derive(Debug, Default)]
 pub struct ModuleRegistry {
     cache: HashMap<Ino, ModuleMeta>,
-    /// Per-inode record generation: moves whenever the cached record
-    /// for the inode may change ([`ModuleRegistry::put`],
-    /// [`ModuleRegistry::forget`]).
+    /// Per-inode record generation: the tick of the latest
+    /// [`ModuleRegistry::put`] or [`ModuleRegistry::forget`] of the
+    /// inode, the two calls that change its cached record.
     generations: HashMap<Ino, u64>,
+    /// The clock behind the generations; [`ModuleRegistry::clear_cache`]
+    /// moves every generation at once.
+    changes: ChangeLog,
+    /// Every generation is at least this tick (the last cache clear).
+    generation_floor: u64,
     /// Memoized [`ModuleRegistry::digests`], valid while the file's
     /// content epoch and the record generation both stand still.
     digests: HashMap<Ino, DigestMemo>,
@@ -262,7 +267,7 @@ impl ModuleRegistry {
 
     /// Stores metadata for `ino` (persisting it).
     pub fn put(&mut self, vfs: &mut Vfs, ino: Ino, meta: ModuleMeta) -> Result<(), LinkError> {
-        *self.generations.entry(ino).or_default() += 1;
+        self.generations.insert(ino, self.changes.tick(ino));
         meta.save(vfs, ino)?;
         self.cache.insert(ino, meta);
         Ok(())
@@ -270,17 +275,33 @@ impl ModuleRegistry {
 
     /// Drops `ino` from cache and disk (segment destroyed).
     pub fn forget(&mut self, vfs: &mut Vfs, ino: Ino) {
-        *self.generations.entry(ino).or_default() += 1;
+        self.generations.insert(ino, self.changes.tick(ino));
         self.cache.remove(&ino);
         ModuleMeta::remove(vfs, ino);
     }
 
     /// Drops only the in-memory cache (simulating a reboot; the on-disk
     /// records survive, like the paper's scan-rebuildable table) and,
-    /// with it, every memoized digest.
+    /// with it, every memoized digest. Every record generation moves:
+    /// a record reloaded from disk need not be the one cached before.
     pub fn clear_cache(&mut self) {
         self.cache.clear();
         self.digests.clear();
+        self.generation_floor = self.changes.tick_all();
+    }
+
+    /// The record generation of `ino`: moves whenever the cached record
+    /// for the inode may change. Part of the key [`ModuleRegistry::digests`]
+    /// memoizes under.
+    pub fn generation(&self, ino: Ino) -> u64 {
+        let own = self.generations.get(&ino).copied().unwrap_or(0);
+        own.max(self.generation_floor)
+    }
+
+    /// The clock behind [`ModuleRegistry::generation`], with the inodes
+    /// its recent ticks moved.
+    pub fn changes(&self) -> &ChangeLog {
+        &self.changes
     }
 
     /// CRC-32 digests of a public instance — of the file's bytes (read
@@ -294,7 +315,7 @@ impl ModuleRegistry {
     /// still fails.
     pub fn digests(&mut self, vfs: &mut Vfs, ino: Ino, path: &str) -> Option<(u32, u32)> {
         let content_epoch = vfs.shared.fs.content_epoch(ino);
-        let generation = self.generations.get(&ino).copied().unwrap_or(0);
+        let generation = self.generation(ino);
         if !vfs.shared.fs.has_poison(ino) {
             if let Some(m) = self.digests.get(&ino) {
                 if m.content_epoch == content_epoch && m.generation == generation {

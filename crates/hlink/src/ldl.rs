@@ -20,12 +20,12 @@ use crate::scope::{LinkDag, ROOT};
 use crate::search::SearchPath;
 use crate::tramp::trampoline_code;
 use hkernel::layout::{DATA_END, DYN_PRIVATE_BASE};
-use hkernel::{Kernel, Pid, Prot, RepageOutcome};
+use hkernel::{Kernel, Pid, ProcState, Prot, RepageOutcome};
 use hobj::reloc::RelocError;
 use hobj::{binfmt, ImageReloc, LoadImage, RelocKind, SearchStrategy, ShareClass};
 use hsfs::vfs::Mount;
 use hsfs::{FsError, Ino, SharedFs, PAGE_SIZE};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// One linked (or pending) module in a process.
 #[derive(Clone, Debug)]
@@ -269,23 +269,42 @@ pub struct LinkState {
     snap_image_patches: Vec<(u32, RelocKind, u32)>,
     /// Targets of image-owned runtime trampolines, in allocation order.
     snap_tramp_targets: Vec<u32>,
+    /// Modules whose snapshot entry may no longer describe them: marked
+    /// wherever a module is inserted, mutated or gains a DAG edge, and
+    /// cleared by the next successful [`Ldl::stage_snapshot`].
+    snap_dirty: BTreeSet<String>,
+    /// The image-side record fields (patches, trampolines, pendings,
+    /// warnings) moved since the last successful stage.
+    snap_image_dirty: bool,
+    /// The record the last successful stage built. It outlives a flush:
+    /// the next stage updates it instead of starting over.
+    snap_built: Option<BuiltRecord>,
     /// The snapshot write the last successful resolve staged, awaiting
     /// [`Ldl::flush_snapshot`].
     snap_staged: Option<StagedSnapshot>,
 }
 
-/// One module's entry in a record being staged: carried over from the
-/// previously staged record (by index) or freshly built.
-enum Entry {
-    Kept(usize),
-    Fresh(crate::snapshot::SnapModule),
+/// A record built by [`Ldl::stage_snapshot`], with what the next stage
+/// needs to tell which of its entries still stand.
+#[derive(Clone, Debug, Default)]
+struct BuiltRecord {
+    record: crate::snapshot::PrelinkSnapshot,
+    /// Per entry of `record.modules`: the (file content epoch, registry
+    /// record generation) its digests were taken under.
+    digest_keys: Vec<(u64, u64)>,
+    /// Entry names by inode.
+    names: HashMap<Ino, String>,
+    /// The clocks as of the stage that built it: the file system's
+    /// content clock, the registry's record clock and the file system's
+    /// name epoch.
+    clocks: (u64, u64, u64),
 }
 
 /// A prelink-snapshot write staged by [`Ldl::stage_snapshot`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum StagedSnapshot {
-    /// Store this record.
-    Store(crate::snapshot::PrelinkSnapshot),
+    /// Store the built record.
+    Store,
     /// Remove the stored record: the link map holds a private instance.
     Remove,
 }
@@ -307,6 +326,43 @@ impl LinkState {
         self.snap_staged.is_some()
     }
 
+    /// The record a flush would store now: `None` when nothing is
+    /// staged or the staged write is a removal.
+    pub fn staged_record(&self) -> Option<&crate::snapshot::PrelinkSnapshot> {
+        match self.snap_staged {
+            Some(StagedSnapshot::Store) => self.snap_built.as_ref().map(|b| &b.record),
+            _ => None,
+        }
+    }
+
+    /// Marks `name`'s snapshot entry for a rebuild at the next stage.
+    fn mark_dirty(&mut self, name: &str) {
+        if !self.snap_dirty.contains(name) {
+            self.snap_dirty.insert(name.to_string());
+        }
+    }
+
+    /// Inserts a module into the link map.
+    fn insert_module(&mut self, m: ModuleInst) {
+        self.mark_dirty(&m.name);
+        self.modules.insert(m.name.clone(), m);
+    }
+
+    /// A module, for mutation.
+    fn module_mut(&mut self, name: &str) -> Option<&mut ModuleInst> {
+        if self.modules.contains_key(name) {
+            self.mark_dirty(name);
+        }
+        self.modules.get_mut(name)
+    }
+
+    /// Records a link-DAG edge: `parent` caused `child` to be loaded.
+    fn add_edge(&mut self, child: &str, parent: &str) {
+        if self.dag.add_edge(child, parent) {
+            self.mark_dirty(child);
+        }
+    }
+
     /// The module instance containing `addr`, if any.
     pub fn module_at(&self, addr: u32) -> Option<&ModuleInst> {
         self.modules.values().find(|m| m.contains(addr))
@@ -326,6 +382,35 @@ impl LinkState {
         }
         None
     }
+}
+
+/// A snapshot entry for a public module, built from the live link map
+/// (digests left zero for the caller). `None` for a private instance or
+/// when the instance file has no path.
+fn fresh_entry(
+    fs: &hsfs::FileSystem,
+    mount: &str,
+    dag: &LinkDag,
+    m: &ModuleInst,
+) -> Option<crate::snapshot::SnapModule> {
+    let ino = m.ino?;
+    let inner = fs.path_of(ino).ok()?;
+    Some(crate::snapshot::SnapModule {
+        name: m.name.clone(),
+        class: m.class,
+        path: format!("{mount}{inner}"),
+        ino,
+        base: m.base,
+        total_len: m.total_len,
+        lazy: m.lazy,
+        tramp: m.tramp,
+        exports: m.exports.clone(),
+        pending: m.pending.clone(),
+        search: m.search.clone(),
+        parents: dag.parents_of(&m.name).to_vec(),
+        content_digest: 0,
+        meta_digest: 0,
+    })
 }
 
 /// The dynamic linker, operating on one process inside the kernel.
@@ -386,6 +471,7 @@ impl<'a> Ldl<'a> {
     /// Returns warnings for dynamic modules that could not be found.
     pub fn init(&mut self, image: &LoadImage) -> Result<Vec<String>, LinkError> {
         let mut warnings = Vec::new();
+        self.state.snap_image_dirty = true;
         self.state.strategy = image.strategy.clone();
         self.state.image_tramp = (
             image.text_base + image.tramp_offset,
@@ -551,24 +637,21 @@ impl<'a> Ldl<'a> {
                 .map_err(LinkError::Fs)?;
         }
         for m in &snap.modules {
-            self.state.modules.insert(
-                m.name.clone(),
-                ModuleInst {
-                    name: m.name.clone(),
-                    class: m.class,
-                    base: m.base,
-                    total_len: m.total_len,
-                    export_index: ModuleInst::index_exports(&m.exports),
-                    exports: m.exports.clone(),
-                    pending: m.pending.clone(),
-                    search: m.search.clone(),
-                    lazy: m.lazy,
-                    ino: Some(m.ino),
-                    tramp: m.tramp,
-                },
-            );
+            self.state.insert_module(ModuleInst {
+                name: m.name.clone(),
+                class: m.class,
+                base: m.base,
+                total_len: m.total_len,
+                export_index: ModuleInst::index_exports(&m.exports),
+                exports: m.exports.clone(),
+                pending: m.pending.clone(),
+                search: m.search.clone(),
+                lazy: m.lazy,
+                ino: Some(m.ino),
+                tramp: m.tramp,
+            });
             for parent in &m.parents {
-                self.state.dag.add_edge(&m.name, parent);
+                self.state.add_edge(&m.name, parent);
             }
         }
         // The image is private memory, fresh on every spawn: replay its
@@ -607,6 +690,7 @@ impl<'a> Ldl<'a> {
                 })?;
         }
         self.state.image_pending = snap.image_pending.clone();
+        self.state.snap_image_dirty = true;
         // Future stages (a lazy link after this hit) must re-record
         // the full image-side history, not just the increment.
         self.state.snap_image_patches = snap.image_patches.clone();
@@ -619,11 +703,22 @@ impl<'a> Ldl<'a> {
     /// prelink snapshot — called after every successful resolve (init,
     /// and each completed lazy link). The digests and the content stamp
     /// are taken now, as of this link; nothing is written until
-    /// [`Ldl::flush_snapshot`]. Per-module digests come from the
-    /// registry's memo, so a module is re-read only when its bytes or
-    /// its record moved. Failures are absorbed: when a digest cannot be
-    /// taken the previously staged record stands, which only costs the
-    /// *next* run its warm path, never this run its correctness.
+    /// [`Ldl::flush_snapshot`]. Failures are absorbed: when a path or a
+    /// digest cannot be taken the previously staged record stands,
+    /// which only costs the *next* run its warm path, never this run
+    /// its correctness.
+    ///
+    /// The work scales with what changed since the last successful
+    /// stage, not with the link map. Only modules marked dirty
+    /// (inserted, mutated or given a new DAG edge) get a fresh entry,
+    /// and the image-side fields are copied only when they moved. Every
+    /// other entry stays in place. The file system's and the registry's
+    /// change logs name the inodes whose content epoch or record
+    /// generation moved since the last stage; only those entries have
+    /// their digests re-taken (through the registry memo). Every entry
+    /// is re-checked instead when the logs cannot say, when the name
+    /// epoch moved (paths are then re-checked too) or while any page is
+    /// poisoned. The staged record equals [`Ldl::snapshot_from_scratch`].
     pub fn stage_snapshot(&mut self) {
         if self.state.snap_path.is_none() {
             return;
@@ -632,117 +727,186 @@ impl<'a> Ldl<'a> {
         // resolved state means nothing to another process or a later
         // boot. Cache nothing rather than a partial link map — and drop
         // any stored record so it cannot validate against a world it no
-        // longer describes.
-        if self.state.modules.values().any(|m| m.ino.is_none()) {
+        // longer describes. A private instance never leaves the link
+        // map and stays dirty (no stage succeeds past it), so the dirty
+        // modules are the only ones to check.
+        let state = &*self.state;
+        if state
+            .snap_dirty
+            .iter()
+            .any(|name| state.modules.get(name).is_some_and(|m| m.ino.is_none()))
+        {
             self.state.snap_staged = Some(StagedSnapshot::Remove);
             return;
         }
-        let mut insts: Vec<(&String, Ino)> = self
-            .state
-            .modules
-            .iter()
-            .filter_map(|(name, m)| m.ino.map(|i| (name, i)))
-            .collect();
-        insts.sort();
-        // A lazy link changes one or two modules, so an entry of the
-        // previously staged record that still describes its module
-        // field for field is kept instead of rebuilt — rebuilding every
-        // entry at every link would make staging quadratic in the chain.
-        let prev: &[crate::snapshot::SnapModule] = match &self.state.snap_staged {
-            Some(StagedSnapshot::Store(snap)) => &snap.modules,
-            _ => &[],
-        };
         let fs = &self.kernel.vfs.shared.fs;
-        let mount = &self.kernel.vfs.mount_point;
-        let mut entries = Vec::with_capacity(insts.len());
-        for (name, ino) in insts {
-            let m = &self.state.modules[name];
-            let parents = self.state.dag.parents_of(name);
-            let kept = prev
-                .binary_search_by(|p| p.name.as_str().cmp(name))
-                .ok()
-                .filter(|&i| {
-                    let p = &prev[i];
-                    p.ino == ino
-                        && p.class == m.class
-                        && p.base == m.base
-                        && p.total_len == m.total_len
-                        && p.lazy == m.lazy
-                        && p.tramp == m.tramp
-                        && p.exports == m.exports
-                        && p.pending == m.pending
-                        && p.search == m.search
-                        && p.parents == parents
-                        && p.path
-                            .strip_prefix(mount.as_str())
-                            .is_some_and(|inner| fs.has_path(ino, inner))
-                });
-            entries.push(match kept {
-                Some(i) => Entry::Kept(i),
-                None => {
-                    let Ok(inner) = fs.path_of(ino) else {
-                        return;
-                    };
-                    Entry::Fresh(crate::snapshot::SnapModule {
-                        name: m.name.clone(),
-                        class: m.class,
-                        path: format!("{mount}{inner}"),
-                        ino,
-                        base: m.base,
-                        total_len: m.total_len,
-                        lazy: m.lazy,
-                        tramp: m.tramp,
-                        exports: m.exports.clone(),
-                        pending: m.pending.clone(),
-                        search: m.search.clone(),
-                        parents: parents.to_vec(),
-                        content_digest: 0,
-                        meta_digest: 0,
-                    })
-                }
-            });
-        }
-        let mut digests = Vec::with_capacity(entries.len());
-        for entry in &entries {
-            let (ino, path) = match entry {
-                Entry::Kept(i) => (prev[*i].ino, &prev[*i].path),
-                Entry::Fresh(m) => (m.ino, &m.path),
+        let mount = self.kernel.vfs.mount_point.as_str();
+        let clocks = (
+            fs.content_changes().clock(),
+            self.registry.changes().clock(),
+            fs.name_epoch(),
+        );
+        // Every dirty module gets a fresh entry.
+        let mut fresh = Vec::with_capacity(state.snap_dirty.len());
+        for name in &state.snap_dirty {
+            let Some(m) = state.modules.get(name) else {
+                continue;
             };
-            let Some(d) = self.registry.digests(&mut self.kernel.vfs, ino, path) else {
+            let Some(entry) = fresh_entry(fs, mount, &state.dag, m) else {
                 return;
             };
-            digests.push(d);
+            fresh.push(entry);
         }
-        let mut prev: Vec<Option<crate::snapshot::SnapModule>> = match self.state.snap_staged.take()
-        {
-            Some(StagedSnapshot::Store(snap)) => snap.modules.into_iter().map(Some).collect(),
-            _ => Vec::new(),
-        };
-        let modules = entries
-            .into_iter()
-            .zip(digests)
-            .map(|(entry, (content, meta))| {
-                let mut m = match entry {
-                    // invariant: module names are unique, so each kept
-                    // index is taken once.
-                    Entry::Kept(i) => prev[i].take().expect("kept once"),
-                    Entry::Fresh(m) => m,
+        // Carried entries to re-check: those whose file or record moved
+        // since the last stage — or every one, when the change logs
+        // cannot say, a path may have moved, or a page is poisoned.
+        let mut recheck = Vec::new();
+        if let Some(b) = &state.snap_built {
+            let paths_moved = b.clocks.2 != clocks.2;
+            let files = fs.content_changes().since(b.clocks.0);
+            let records = self.registry.changes().since(b.clocks.1);
+            let candidates: Vec<usize> = match (files, records) {
+                (Some(files), Some(records)) if !paths_moved && fs.poisoned_blocks() == 0 => {
+                    let mut inos: Vec<Ino> = files.chain(records).collect();
+                    inos.sort_unstable();
+                    inos.dedup();
+                    inos.iter()
+                        .filter_map(|ino| b.names.get(ino))
+                        .filter_map(|name| {
+                            b.record.modules.binary_search_by(|p| p.name.cmp(name)).ok()
+                        })
+                        .collect()
+                }
+                _ => (0..b.record.modules.len()).collect(),
+            };
+            for i in candidates {
+                let p = &b.record.modules[i];
+                if state.snap_dirty.contains(&p.name) {
+                    continue;
+                }
+                let path_holds = !paths_moved
+                    || p.path
+                        .strip_prefix(mount)
+                        .is_some_and(|inner| fs.has_path(p.ino, inner));
+                if path_holds {
+                    recheck.push(i);
+                    continue;
+                }
+                let rebuilt = state
+                    .modules
+                    .get(&p.name)
+                    .and_then(|m| fresh_entry(fs, mount, &state.dag, m));
+                let Some(entry) = rebuilt else {
+                    return;
                 };
-                m.content_digest = content;
-                m.meta_digest = meta;
-                m
-            })
-            .collect();
-        self.state.snap_staged = Some(StagedSnapshot::Store(crate::snapshot::PrelinkSnapshot {
-            scope_hash: self.state.snap_scope,
+                fresh.push(entry);
+            }
+        }
+        // Digests, through the registry memo: every fresh entry, and
+        // every re-checked entry whose key moved.
+        let mut redigested = Vec::new();
+        if let Some(b) = &state.snap_built {
+            for i in recheck {
+                let p = &b.record.modules[i];
+                let fs = &self.kernel.vfs.shared.fs;
+                let key = (fs.content_epoch(p.ino), self.registry.generation(p.ino));
+                if key == b.digest_keys[i] && !fs.has_poison(p.ino) {
+                    continue;
+                }
+                let Some(digests) = self.registry.digests(&mut self.kernel.vfs, p.ino, &p.path)
+                else {
+                    return;
+                };
+                redigested.push((i, digests, key));
+            }
+        }
+        let mut fresh_keys = Vec::with_capacity(fresh.len());
+        for m in &mut fresh {
+            let key = (
+                self.kernel.vfs.shared.fs.content_epoch(m.ino),
+                self.registry.generation(m.ino),
+            );
+            let Some(digests) = self.registry.digests(&mut self.kernel.vfs, m.ino, &m.path) else {
+                return;
+            };
+            (m.content_digest, m.meta_digest) = digests;
+            fresh_keys.push(key);
+        }
+        // Nothing below can fail: update the record in place.
+        let stamp = self.kernel.vfs.shared.fs.content_stamp();
+        let state = &mut *self.state;
+        let b = state.snap_built.get_or_insert_with(BuiltRecord::default);
+        for (i, digests, key) in redigested {
+            let m = &mut b.record.modules[i];
+            (m.content_digest, m.meta_digest) = digests;
+            b.digest_keys[i] = key;
+        }
+        for (m, key) in fresh.into_iter().zip(fresh_keys) {
+            match b.record.modules.binary_search_by(|p| p.name.cmp(&m.name)) {
+                Ok(i) => {
+                    if b.record.modules[i].ino != m.ino {
+                        b.names.remove(&b.record.modules[i].ino);
+                        b.names.insert(m.ino, m.name.clone());
+                    }
+                    b.record.modules[i] = m;
+                    b.digest_keys[i] = key;
+                }
+                Err(i) => {
+                    b.names.insert(m.ino, m.name.clone());
+                    b.record.modules.insert(i, m);
+                    b.digest_keys.insert(i, key);
+                }
+            }
+        }
+        if state.snap_image_dirty {
+            b.record.tramp_targets = state.snap_tramp_targets.clone();
+            b.record.image_patches = state.snap_image_patches.clone();
+            b.record.image_pending = state.image_pending.clone();
+            b.record.warnings = state.snap_warnings.clone();
+        }
+        b.record.scope_hash = state.snap_scope;
+        b.record.stamp = stamp;
+        b.record.image_tramp_used = state.image_tramp.2;
+        b.clocks = clocks;
+        state.snap_dirty.clear();
+        state.snap_image_dirty = false;
+        state.snap_staged = Some(StagedSnapshot::Store);
+    }
+
+    /// Builds from scratch the record [`Ldl::stage_snapshot`] stages
+    /// for the link map as it is now: every public module's entry from
+    /// the live link map, every digest through the registry memo.
+    /// `None` when the link map holds a private instance or a path or
+    /// digest cannot be taken. This is the reference the incremental
+    /// stage is tested against; no runtime path calls it.
+    pub fn snapshot_from_scratch(&mut self) -> Option<crate::snapshot::PrelinkSnapshot> {
+        let state = &*self.state;
+        if state.modules.values().any(|m| m.ino.is_none()) {
+            return None;
+        }
+        let mut names: Vec<&String> = state.modules.keys().collect();
+        names.sort();
+        let fs = &self.kernel.vfs.shared.fs;
+        let mount = self.kernel.vfs.mount_point.as_str();
+        let mut modules = names
+            .into_iter()
+            .map(|name| fresh_entry(fs, mount, &state.dag, &state.modules[name]))
+            .collect::<Option<Vec<_>>>()?;
+        for m in &mut modules {
+            (m.content_digest, m.meta_digest) =
+                self.registry
+                    .digests(&mut self.kernel.vfs, m.ino, &m.path)?;
+        }
+        Some(crate::snapshot::PrelinkSnapshot {
+            scope_hash: state.snap_scope,
             stamp: self.kernel.vfs.shared.fs.content_stamp(),
-            image_tramp_used: self.state.image_tramp.2,
-            tramp_targets: self.state.snap_tramp_targets.clone(),
-            image_patches: self.state.snap_image_patches.clone(),
-            image_pending: self.state.image_pending.clone(),
-            warnings: self.state.snap_warnings.clone(),
+            image_tramp_used: state.image_tramp.2,
+            tramp_targets: state.snap_tramp_targets.clone(),
+            image_patches: state.snap_image_patches.clone(),
+            image_pending: state.image_pending.clone(),
+            warnings: state.snap_warnings.clone(),
             modules,
-        }));
+        })
     }
 
     /// Stores the staged snapshot record, if any, and clears the stage
@@ -761,17 +925,31 @@ impl<'a> Ldl<'a> {
         };
         match staged {
             StagedSnapshot::Remove => crate::snapshot::remove(&mut self.kernel.vfs, &path),
-            StagedSnapshot::Store(snap) => {
-                if let crate::snapshot::StoreOutcome::Written =
-                    crate::snapshot::store(&mut self.kernel.vfs, &path, &snap)
-                {
-                    self.state.stats.snapshot_rebuilds += 1;
-                    self.state.journal.push(LinkEvent::SnapshotRebuilt {
-                        exe: self.state.snap_exe.clone(),
-                        modules: snap.modules.len() as u32,
-                    });
+            StagedSnapshot::Store => {
+                if let Some(built) = &self.state.snap_built {
+                    if let crate::snapshot::StoreOutcome::Written =
+                        crate::snapshot::store(&mut self.kernel.vfs, &path, &built.record)
+                    {
+                        let modules = built.record.modules.len() as u32;
+                        self.state.stats.snapshot_rebuilds += 1;
+                        self.state.journal.push(LinkEvent::SnapshotRebuilt {
+                            exe: self.state.snap_exe.clone(),
+                            modules,
+                        });
+                    }
                 }
             }
+        }
+        // An exited process never stages again: free what a next stage
+        // would have updated instead of keeping it for the zombie.
+        let live = self
+            .kernel
+            .procs
+            .get(&self.pid)
+            .is_some_and(|p| !matches!(p.state, ProcState::Zombie(_)));
+        if !live {
+            self.state.snap_built = None;
+            self.state.snap_dirty.clear();
         }
     }
 
@@ -857,10 +1035,9 @@ impl<'a> Ldl<'a> {
                 addr: SharedFs::addr_of_ino(ino),
             })?;
         let name = meta.name.clone();
-        if let Some(existing) = self.state.modules.get(&name) {
+        if self.state.modules.contains_key(&name) {
             // Already mapped; just record the additional DAG edge.
-            let _ = existing;
-            self.state.dag.add_edge(&name, parent);
+            self.state.add_edge(&name, parent);
             return Ok(name);
         }
         let lazy = meta.needs_lazy_link();
@@ -879,23 +1056,20 @@ impl<'a> Ldl<'a> {
             base: meta.base,
             module: Some(name.clone()),
         });
-        self.state.modules.insert(
-            name.clone(),
-            ModuleInst {
-                name: name.clone(),
-                class,
-                base: meta.base,
-                total_len: meta.total_len,
-                export_index: ModuleInst::index_exports(&meta.exports),
-                exports: meta.exports.clone(),
-                pending: meta.pending.clone(),
-                search: meta.search.clone(),
-                lazy,
-                ino: Some(ino),
-                tramp: (meta.tramp_off, meta.tramp_cap, meta.tramp_used),
-            },
-        );
-        self.state.dag.add_edge(&name, parent);
+        self.state.insert_module(ModuleInst {
+            name: name.clone(),
+            class,
+            base: meta.base,
+            total_len: meta.total_len,
+            export_index: ModuleInst::index_exports(&meta.exports),
+            exports: meta.exports.clone(),
+            pending: meta.pending.clone(),
+            search: meta.search.clone(),
+            lazy,
+            ino: Some(ino),
+            tramp: (meta.tramp_off, meta.tramp_cap, meta.tramp_used),
+        });
+        self.state.add_edge(&name, parent);
         Ok(name)
     }
 
@@ -911,10 +1085,9 @@ impl<'a> Ldl<'a> {
             path: template_path.to_string(),
             err,
         })?;
-        if let Some(existing) = self.state.modules.get(&obj.name) {
-            let name = existing.name.clone();
-            self.state.dag.add_edge(&name, parent);
-            return Ok(name);
+        if self.state.modules.contains_key(&obj.name) {
+            self.state.add_edge(&obj.name, parent);
+            return Ok(obj.name);
         }
         let layout = crate::instance::layout_of(&obj);
         let proc = self
@@ -944,27 +1117,24 @@ impl<'a> Ldl<'a> {
                 name: obj.name.clone(),
             })?;
         let name = inst.meta.name.clone();
-        self.state.modules.insert(
-            name.clone(),
-            ModuleInst {
-                name: name.clone(),
-                class: ShareClass::DynamicPrivate,
-                base,
-                total_len: layout.total_len,
-                export_index: ModuleInst::index_exports(&inst.meta.exports),
-                exports: inst.meta.exports.clone(),
-                pending: inst.meta.pending.clone(),
-                search: inst.meta.search.clone(),
-                lazy,
-                ino: None,
-                tramp: (
-                    inst.meta.tramp_off,
-                    inst.meta.tramp_cap,
-                    inst.meta.tramp_used,
-                ),
-            },
-        );
-        self.state.dag.add_edge(&name, parent);
+        self.state.insert_module(ModuleInst {
+            name: name.clone(),
+            class: ShareClass::DynamicPrivate,
+            base,
+            total_len: layout.total_len,
+            export_index: ModuleInst::index_exports(&inst.meta.exports),
+            exports: inst.meta.exports.clone(),
+            pending: inst.meta.pending.clone(),
+            search: inst.meta.search.clone(),
+            lazy,
+            ino: None,
+            tramp: (
+                inst.meta.tramp_off,
+                inst.meta.tramp_cap,
+                inst.meta.tramp_used,
+            ),
+        });
+        self.state.add_edge(&name, parent);
         Ok(name)
     }
 
@@ -1106,13 +1276,9 @@ impl<'a> Ldl<'a> {
     /// then enables access.
     pub fn lazy_link(&mut self, name: &str) -> Result<(), LinkError> {
         let (pendings, ino) = {
-            let m = self
-                .state
-                .modules
-                .get_mut(name)
-                .ok_or(LinkError::Internal {
-                    what: "lazy module disappeared before linking",
-                })?;
+            let m = self.state.module_mut(name).ok_or(LinkError::Internal {
+                what: "lazy module disappeared before linking",
+            })?;
             (std::mem::take(&mut m.pending), m.ino)
         };
         let mut unresolved = Vec::new();
@@ -1145,13 +1311,9 @@ impl<'a> Ldl<'a> {
                 }
             }
         }
-        let m = self
-            .state
-            .modules
-            .get_mut(name)
-            .ok_or(LinkError::Internal {
-                what: "lazy module disappeared mid-link",
-            })?;
+        let m = self.state.module_mut(name).ok_or(LinkError::Internal {
+            what: "lazy module disappeared mid-link",
+        })?;
         m.pending = unresolved.clone();
         m.lazy = false;
         let (base, len) = (m.base, m.total_len);
@@ -1290,7 +1452,7 @@ impl<'a> Ldl<'a> {
     ) -> Result<Option<String>, LinkError> {
         // Already loaded under this (module) name?
         if self.state.modules.contains_key(dep) {
-            self.state.dag.add_edge(dep, parent);
+            self.state.add_edge(dep, parent);
             return Ok(Some(dep.to_string()));
         }
         let cwd = self.cwd();
@@ -1371,6 +1533,7 @@ impl<'a> Ldl<'a> {
                 // snapshot hit must replay; record the final value.
                 if owner.is_none() {
                     self.state.snap_image_patches.push((p.addr, p.kind, value));
+                    self.state.snap_image_dirty = true;
                 }
                 Ok(())
             }
@@ -1385,6 +1548,7 @@ impl<'a> Ldl<'a> {
                     self.state
                         .snap_image_patches
                         .push((p.addr, p.kind, tramp_addr));
+                    self.state.snap_image_dirty = true;
                 }
                 Ok(())
             }
@@ -1469,13 +1633,9 @@ impl<'a> Ldl<'a> {
             .map_err(|_| LinkError::Unresolvable { addr })?;
         match who {
             Some(name) => {
-                let m = self
-                    .state
-                    .modules
-                    .get_mut(&name)
-                    .ok_or(LinkError::Internal {
-                        what: "trampoline owner disappeared",
-                    })?;
+                let m = self.state.module_mut(&name).ok_or(LinkError::Internal {
+                    what: "trampoline owner disappeared",
+                })?;
                 m.tramp.2 += crate::tramp::TRAMP_BYTES;
             }
             None => {
@@ -1483,6 +1643,7 @@ impl<'a> Ldl<'a> {
                 // Image-area trampolines are private memory; a snapshot
                 // hit re-synthesizes them from the recorded targets.
                 self.state.snap_tramp_targets.push(target);
+                self.state.snap_image_dirty = true;
             }
         }
         self.state.stats.trampolines += 1;

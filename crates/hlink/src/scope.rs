@@ -31,11 +31,14 @@ impl LinkDag {
     /// Records that `parent` caused `child` to be loaded. Duplicate edges
     /// are ignored; an edge that would point *down* from the root to an
     /// existing ancestor is fine (the structure is a DAG, not a tree).
-    pub fn add_edge(&mut self, child: &str, parent: &str) {
+    /// Returns whether the edge is new.
+    pub fn add_edge(&mut self, child: &str, parent: &str) -> bool {
         let entry = self.parents.entry(child.to_string()).or_default();
-        if !entry.iter().any(|p| p == parent) {
+        let new = !entry.iter().any(|p| p == parent);
+        if new {
             entry.push(parent.to_string());
         }
+        new
     }
 
     /// The parents of `child` (empty ⇒ effectively rooted).

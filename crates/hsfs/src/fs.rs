@@ -6,6 +6,7 @@
 //! shared partition. Inode numbers are slot indices so the shared layer
 //! can derive each file's virtual address directly from its inode number.
 
+use crate::changes::ChangeLog;
 use crate::error::FsError;
 use crate::journal::{
     fnv1a, CorruptBlockInfo, CorruptKind, Durable, Payload, RecKind, ReplayStats,
@@ -141,13 +142,17 @@ pub struct FileSystem {
     /// write happened anywhere — see [`FileSystem::content_stamp`].
     content_stamp: u64,
     /// Monotonic clock behind [`FileSystem::content_epoch`]: every file
-    /// mutation takes a fresh tick. Unlike `content_stamp` it is never
-    /// rolled back, so no two content states of a file share a tick.
-    content_clock: u64,
+    /// mutation takes a fresh tick naming the file. Unlike
+    /// `content_stamp` it is never rolled back, so no two content states
+    /// of a file share a tick.
+    content_log: ChangeLog,
     /// Every file's content epoch is at least this tick. Raised by a
     /// power cut, which replaces the live tree wholesale without
     /// per-file bookkeeping.
     content_floor: u64,
+    /// Moves whenever an existing inode's path could have changed or
+    /// the inode could have gone — see [`FileSystem::name_epoch`].
+    name_clock: u64,
     /// The block-write pipeline + write-ahead journal (DESIGN.md §13).
     /// `None` (the root file system, and the durable twin itself) means
     /// write-through: mutations are durable the instant they happen.
@@ -202,8 +207,9 @@ impl FileSystem {
             faults: FaultHandle::unarmed(),
             write_epochs: BTreeMap::new(),
             content_stamp: 0,
-            content_clock: 0,
+            content_log: ChangeLog::default(),
             content_floor: 0,
+            name_clock: 0,
             durable: None,
             poisoned: BTreeSet::new(),
         }
@@ -266,6 +272,7 @@ impl FileSystem {
         {
             self.live -= 1;
             self.free.push(ino);
+            self.name_clock += 1;
             // A reused inode number must not inherit the old file's
             // content epoch.
             self.tick_content(ino);
@@ -653,6 +660,7 @@ impl FileSystem {
         let inode = self.inode_mut(ino)?;
         inode.parent = ndir;
         inode.name = nname.clone();
+        self.name_clock += 1;
         if self.durable.is_some() {
             self.durable_tx(vec![
                 Payload::DirRemove {
@@ -725,9 +733,9 @@ impl FileSystem {
             // Stamp the touched pages (the full attempted range even
             // when torn — over-invalidation is always safe).
             self.content_stamp += 1;
-            self.content_clock += 1;
+            let tick = self.content_log.tick(ino);
             let epochs = self.write_epochs.entry(ino).or_default();
-            epochs.content = self.content_clock;
+            epochs.content = tick;
             let first = (offset / crate::PAGE_SIZE as u64) as u32;
             let last = ((end - 1) / crate::PAGE_SIZE as u64) as u32;
             for page in first..=last {
@@ -878,9 +886,9 @@ impl FileSystem {
     /// cached blocks decoded from the file's text pages.
     pub fn file_bytes_mut_stamped(&mut self, ino: Ino, page: u32) -> Result<&mut [u8], FsError> {
         self.content_stamp += 1;
-        self.content_clock += 1;
+        let tick = self.content_log.tick(ino);
         let epochs = self.write_epochs.entry(ino).or_default();
-        epochs.content = self.content_clock;
+        epochs.content = tick;
         *epochs.pages.entry(page).or_default() += 1;
         if let Some(d) = self.durable.as_deref_mut() {
             d.mark_page(ino, page);
@@ -893,16 +901,16 @@ impl FileSystem {
 
     /// Bumps the file's whole-file write epoch (every page at once).
     fn bump_whole(&mut self, ino: Ino) {
-        self.content_clock += 1;
+        let tick = self.content_log.tick(ino);
         let epochs = self.write_epochs.entry(ino).or_default();
         epochs.whole += 1;
-        epochs.content = self.content_clock;
+        epochs.content = tick;
     }
 
     /// Moves the file's content epoch without touching its page epochs.
     fn tick_content(&mut self, ino: Ino) {
-        self.content_clock += 1;
-        self.write_epochs.entry(ino).or_default().content = self.content_clock;
+        let tick = self.content_log.tick(ino);
+        self.write_epochs.entry(ino).or_default().content = tick;
     }
 
     /// The global content stamp: unchanged between two reads ⇒ no file's
@@ -943,6 +951,23 @@ impl FileSystem {
     pub fn content_epoch(&self, ino: Ino) -> u64 {
         let own = self.write_epochs.get(&ino).map_or(0, |e| e.content);
         own.max(self.content_floor)
+    }
+
+    /// The name epoch: equal values at two reads ⇒ every inode that
+    /// existed at the first read still exists with the same
+    /// [`FileSystem::path_of`]. It moves on rename, inode release,
+    /// journal replay of inode records and power cut; creating a file
+    /// leaves every existing path alone and does not move it.
+    pub fn name_epoch(&self) -> u64 {
+        self.name_clock
+    }
+
+    /// The clock behind [`FileSystem::content_epoch`], with the files
+    /// its recent ticks moved: a file absent from
+    /// `content_changes().since(t)` has had the same content epoch since
+    /// tick `t`.
+    pub fn content_changes(&self) -> &ChangeLog {
+        &self.content_log
     }
 
     /// True when any page of the file is poisoned, so a read of the
@@ -1107,8 +1132,9 @@ impl FileSystem {
             faults: FaultHandle::unarmed(),
             write_epochs: BTreeMap::new(),
             content_stamp: 0,
-            content_clock: 0,
+            content_log: ChangeLog::default(),
             content_floor: 0,
+            name_clock: 0,
             durable: None,
             poisoned: BTreeSet::new(),
         }
@@ -1259,8 +1285,8 @@ impl FileSystem {
         self.free = twin.free;
         self.live = twin.live;
         self.write_epochs.clear();
-        self.content_clock += 1;
-        self.content_floor = self.content_clock;
+        self.content_floor = self.content_log.tick_all();
+        self.name_clock += 1;
         let mut nd = Durable::new(self.snapshot_for_disk());
         nd.journal = std::mem::take(&mut d.journal);
         // The checksum/claim/replica regions are on-disk state and
@@ -1358,8 +1384,10 @@ impl FileSystem {
                     inode.uid = *uid;
                     inode.parent = *parent;
                     inode.name = name.clone();
+                    self.name_clock += 1;
                 } else {
                     self.tick_content(*ino);
+                    self.name_clock += 1;
                     if self.slots[idx].is_none() {
                         self.live += 1;
                         self.free.retain(|&i| i != *ino);
@@ -1416,6 +1444,7 @@ impl FileSystem {
                 if let Ok(inode) = self.inode_mut(*ino) {
                     inode.parent = *parent;
                     inode.name = name.clone();
+                    self.name_clock += 1;
                 }
             }
             Payload::SetNlink { ino, nlink } => {
@@ -1785,6 +1814,47 @@ mod tests {
         let b = f.resolve("/d/b").unwrap();
         assert_eq!(f.read_at(b, 0, 1).unwrap(), b"A");
         assert_eq!(f.path_of(b).unwrap(), "/d/b");
+    }
+
+    #[test]
+    fn name_epoch_moves_only_when_an_existing_path_can_change() {
+        let mut f = fs();
+        f.mkdir_all("/d/e", 0o755, 0).unwrap();
+        let a = f.create_file("/d/e/a", 0o644, 0).unwrap();
+        let e0 = f.name_epoch();
+        f.create_file("/d/b", 0o644, 0).unwrap();
+        f.write_at(a, 0, b"A").unwrap();
+        f.truncate(a, 4096).unwrap();
+        assert_eq!(f.name_epoch(), e0, "create and write keep every path");
+        f.rename("/d/e", "/d/f").unwrap();
+        let e1 = f.name_epoch();
+        assert!(e1 > e0, "renaming a directory moves its descendants");
+        assert_eq!(f.path_of(a).unwrap(), "/d/f/a");
+        f.unlink("/d/b").unwrap();
+        let e2 = f.name_epoch();
+        assert!(e2 > e1, "unlink releases the inode");
+        f.rename("/d/f/a", "/d/f/a").unwrap();
+        assert_eq!(f.name_epoch(), e2, "a no-op rename moves nothing");
+    }
+
+    #[test]
+    fn content_changes_name_the_files_each_mutation_moved() {
+        let mut f = fs();
+        let a = f.create_file("/a", 0o644, 0).unwrap();
+        let b = f.create_file("/b", 0o644, 0).unwrap();
+        let t = f.content_changes().clock();
+        let epoch_b = f.content_epoch(b);
+        f.write_at(a, 0, b"A").unwrap();
+        f.truncate(a, 8).unwrap();
+        f.file_bytes_mut_stamped(a, 0).unwrap()[0] = 1;
+        let moved: Vec<Ino> = f.content_changes().since(t).unwrap().collect();
+        assert_eq!(moved, vec![a, a, a]);
+        assert_eq!(f.content_epoch(a), f.content_changes().clock());
+        assert_eq!(
+            f.content_epoch(b),
+            epoch_b,
+            "b is not in the log and did not move"
+        );
     }
 
     #[test]

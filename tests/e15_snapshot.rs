@@ -6,7 +6,7 @@
 //! into a checksummed snapshot on the shared partition; a later boot
 //! validates it for one flat `snapshot_validate_ns` charge and maps the
 //! pre-resolved segments directly instead of re-running scoped symbol
-//! search. Five claims are tested here:
+//! search. These claims are tested here:
 //!
 //! 1. **Cold identity**: over quantum × cpus ∈ {1,4}, a snapshots-on
 //!    cold run and a snapshots-off run of the same multi-worker SMP
@@ -39,6 +39,9 @@
 //!    record, unpriced I/O grows linearly in the chain length, a fork
 //!    child that links nothing writes nothing, and a power cut before
 //!    exit loses only the staged record.
+//! 7. **Staging is incremental but exact**: each stage rebuilds only
+//!    what its link changed, yet at every stage the staged record
+//!    equals a from-scratch rebuild of the link map.
 
 use bench::fixtures::{
     cpus_override, env_switch_on, pressure_worker, run_counter, run_prog, settle_workers,
@@ -814,6 +817,84 @@ fn poisoned_module_page_at_stage_time_writes_no_record() {
     assert_eq!(world.kernel.vfs.read_all(&path).unwrap(), stored);
 }
 
+/// A module page poisoned *after* the boot that stored the record
+/// (the record is good: the boot in between hits it). The next boot's
+/// validation cannot read the module back, so it invalidates — never
+/// hits a record whose module it could not check — and names the
+/// module; the full resolve that follows stages nothing (the digest
+/// cannot be taken), and the lifetime ends in the contained exit of
+/// touching the page, whichever module of the chain was hit.
+#[test]
+fn module_poisoned_after_the_storing_boot_invalidates_never_hits() {
+    const N: usize = 4;
+    for victim in 0..N {
+        let mut world = traced_world();
+        let exe = build_lazy_chain(&mut world, N, 0);
+        assert_eq!(run_prog(&mut world, &exe), N as i32 - 1);
+        world.reboot();
+        assert_eq!(run_prog(&mut world, &exe), N as i32 - 1);
+        assert_eq!(world.stats().snapshot_hits, 1, "the stored record is good");
+        let path = lazy_snap_path(&world);
+        let stored = world.kernel.vfs.read_all(&path).unwrap();
+        let module = format!("/shared/lib/mod{victim}");
+        let size = world.kernel.vfs.stat(&module).unwrap().size;
+        for b in 0..size.div_ceil(u64::from(hsfs::BLOCK_SIZE)) {
+            assert!(world.corrupt_shared_block(&module, b, hsfs::CorruptKind::BitRot));
+            assert!(world.corrupt_shared_replica(&module, b));
+        }
+        world.power_cut();
+        world.reboot();
+        assert!(world.poisoned_blocks() > 0, "log: {:?}", world.log);
+        let before = world.stats();
+        let pid = world.spawn(&exe).unwrap();
+        assert_eq!(world.run(RUN_SLICES), WorldExit::AllExited);
+        let s = world.stats();
+        assert_eq!(
+            s.snapshot_hits, before.snapshot_hits,
+            "victim mod{victim}: {s:?}"
+        );
+        assert_eq!(
+            s.snapshot_invalidations,
+            before.snapshot_invalidations + 1,
+            "victim mod{victim}: {s:?}"
+        );
+        let why: Vec<String> = world
+            .trace()
+            .records()
+            .filter(|r| r.event.kind() == "SnapshotInvalidated")
+            .map(|r| r.event.to_string())
+            .collect();
+        assert_eq!(why.len(), 1);
+        assert!(
+            why[0].contains(&format!("module `mod{victim}`: instance unreadable")),
+            "{why:?}"
+        );
+        assert_eq!(
+            world.exit_code(pid),
+            Some(135),
+            "victim mod{victim}: log: {:?}",
+            world.log
+        );
+        // A stage that cannot digest the victim keeps whatever record
+        // was staged before it. With mod0 poisoned nothing is ever
+        // staged, so the old record stays as it was; otherwise it may
+        // be replaced by one covering the modules staged before the
+        // victim was mapped, but never one that lists the victim.
+        if victim == 0 {
+            assert_eq!(s.snapshot_rebuilds, before.snapshot_rebuilds, "{s:?}");
+            assert_eq!(world.kernel.vfs.read_all(&path).unwrap(), stored);
+        }
+        let snap = hlink::snapshot::load(&mut world.kernel.vfs, &path)
+            .unwrap()
+            .expect("a record stays stored");
+        let victim_name = format!("mod{victim}");
+        assert!(
+            victim == 0 || snap.modules.iter().all(|m| m.name != victim_name),
+            "victim mod{victim} recorded"
+        );
+    }
+}
+
 /// A fork child inherits its parent's link map but not its staged
 /// record: a child that links nothing writes nothing, and the parent's
 /// exit writes the lifetime's one record.
@@ -930,4 +1011,253 @@ fn barrier_and_clean_halt_flush_live_processes() {
         let s = world.stats();
         assert_eq!(s.snapshot_hits, 1, "via_barrier={via_barrier}: {s:?}");
     }
+}
+
+// --- 7. incremental staging equals a from-scratch rebuild -------------
+
+/// Runs `world` one slice at a time until every process has exited.
+/// After each slice in which a process resolved (init or a lazy link,
+/// each of which stages a record), the record it staged must equal a
+/// from-scratch rebuild of its link map (`Ldl::snapshot_from_scratch`).
+/// `between` runs after every slice. Returns how many stages were
+/// compared.
+fn assert_staging_matches_rebuild(world: &mut World, mut between: impl FnMut(&mut World)) -> u64 {
+    let mut resolves_seen = std::collections::HashMap::new();
+    let mut compared = 0;
+    for _ in 0..RUN_SLICES {
+        let exit = world.run(1);
+        let pids: Vec<_> = world.kernel.procs.keys().copied().collect();
+        for pid in pids {
+            let Some(s) = world.ldl_stats(pid) else {
+                continue;
+            };
+            let resolves = s.init_links + s.lazy_links;
+            if resolves_seen.insert(pid, resolves).unwrap_or(0) == resolves {
+                continue;
+            }
+            let live = world.link_state(pid).unwrap();
+            assert!(live.snapshot_staged(), "pid {pid}: a resolve stages");
+            let staged = live.staged_record().cloned();
+            let mut scratch = live.clone();
+            let reference =
+                hlink::Ldl::new(&mut world.kernel, &mut world.registry, &mut scratch, pid)
+                    .snapshot_from_scratch();
+            assert!(reference.is_some(), "pid {pid}: the rebuild must succeed");
+            assert_eq!(staged, reference, "pid {pid} after {resolves} resolves");
+            compared += 1;
+        }
+        if exit == WorldExit::AllExited {
+            return compared;
+        }
+        between(world);
+    }
+    panic!("the scenario did not finish; log: {:?}", world.log);
+}
+
+/// The staged record is built incrementally — only modules marked
+/// dirty since the last stage get fresh entries — yet at every stage
+/// it equals the record a from-scratch rebuild gives: along a lazy
+/// chain, with a linked module rewritten (digest re-taken), another
+/// renamed (path re-derived) and a third's metadata record replaced
+/// between two links; in a fork child that links on its own after
+/// inheriting its parent's record; with a module-owned runtime
+/// trampoline; and for an image whose init only warns.
+#[test]
+fn incremental_staging_equals_a_from_scratch_rebuild_at_every_stage() {
+    // A lazy chain, with a rewrite after the first lazy link, a rename
+    // after the second and a replaced record after the third.
+    const N: usize = 6;
+    let mut world = traced_world();
+    let exe = build_lazy_chain(&mut world, N, 0);
+    let pid = world.spawn(&exe).unwrap();
+    let mut step = 0;
+    let compared = assert_staging_matches_rebuild(&mut world, |w| {
+        let lazy = w.ldl_stats(pid).map_or(0, |s| s.lazy_links);
+        if step == 0 && lazy >= 1 {
+            w.poke_shared_word("/shared/lib/mod0", "pad0", 0xA11C_E5ED)
+                .unwrap();
+            step = 1;
+        } else if step == 1 && lazy >= 2 {
+            w.kernel
+                .vfs
+                .rename("/shared/lib/mod1", "/shared/lib/mod1.moved")
+                .unwrap();
+            step = 2;
+        } else if step == 2 && lazy >= 3 {
+            let ino = w.kernel.vfs.resolve("/shared/lib/mod0").unwrap().ino;
+            let mut meta = w.registry.get(&mut w.kernel.vfs, ino).unwrap().clone();
+            meta.exports.push(("mod0_alias".into(), meta.base));
+            w.registry.put(&mut w.kernel.vfs, ino, meta).unwrap();
+            step = 3;
+        }
+    });
+    assert_eq!(step, 3);
+    assert_eq!(
+        compared, N as u64,
+        "init plus a lazy link per module but the tail"
+    );
+    assert_eq!(
+        world.exit_code(pid),
+        Some(N as i32 - 1),
+        "log: {:?}",
+        world.log
+    );
+    let path = lazy_snap_path(&world);
+    let snap = hlink::snapshot::load(&mut world.kernel.vfs, &path)
+        .unwrap()
+        .expect("record written at exit");
+    let mod1 = snap.modules.iter().find(|m| m.name == "mod1").unwrap();
+    assert_eq!(mod1.path, "/shared/lib/mod1.moved");
+
+    // A fork child that links on its own, then its parent.
+    let mut world = traced_world();
+    world.install_template("/shared/lib/lib1.o", LIB1).unwrap();
+    world.install_template("/shared/lib/lib2.o", LIB2).unwrap();
+    world
+        .install_template(
+            "/src/forklink.o",
+            r#"
+.module forklink
+.text
+.globl main
+main:   addi sp, sp, -8
+        sw   ra, 0(sp)
+        li   v0, 6              ; fork
+        syscall
+        beq  v0, r0, child
+        li   v0, 16             ; waitpid(any)
+        li   a0, 0
+        syscall
+        jal  f1
+        lw   ra, 0(sp)
+        addi sp, sp, 8
+        jr   ra
+child:  jal  f1
+        or   a0, v0, r0         ; exit(f1())
+        li   v0, 1
+        syscall
+"#,
+        )
+        .unwrap();
+    let exe = world
+        .link(
+            "/bin/forklink",
+            &[
+                ("/src/forklink.o", ShareClass::StaticPrivate),
+                ("/shared/lib/lib1.o", ShareClass::DynamicPublic),
+                ("/shared/lib/lib2.o", ShareClass::DynamicPublic),
+            ],
+        )
+        .unwrap();
+    let parent = world.spawn(&exe).unwrap();
+    let compared = assert_staging_matches_rebuild(&mut world, |_| {});
+    assert_eq!(world.stats().kernel.forks, 1);
+    assert_eq!(
+        world.exit_code(parent),
+        Some(CHAIN_ANSWER),
+        "log: {:?}",
+        world.log
+    );
+    let child = world.kernel.procs.keys().copied().max().unwrap();
+    assert_eq!(world.exit_code(child), Some(CHAIN_ANSWER));
+    assert_eq!(
+        world.ldl_stats(child).unwrap().lazy_links,
+        1,
+        "the child links lib1"
+    );
+    assert_eq!(compared, 1 + 1 + 1, "parent init, child link, parent link");
+
+    // A module that calls back into the image: the out-of-region jump
+    // is routed through a trampoline in the module's own area.
+    let mut world = traced_world();
+    world
+        .install_template(
+            "/shared/lib/cb.o",
+            r#"
+.module cb
+.text
+.globl cb_fn
+cb_fn:  addi sp, sp, -8
+        sw   ra, 0(sp)
+        jal  host_add
+        lw   ra, 0(sp)
+        addi sp, sp, 8
+        jr   ra
+"#,
+        )
+        .unwrap();
+    world
+        .install_template(
+            "/src/cbmain.o",
+            r#"
+.module cbmain
+.text
+.globl main
+.globl host_add
+main:   addi sp, sp, -8
+        sw   ra, 0(sp)
+        li   a0, 5
+        jal  cb_fn
+        lw   ra, 0(sp)
+        addi sp, sp, 8
+        jr   ra
+host_add:
+        addi v0, a0, 1
+        jr   ra
+"#,
+        )
+        .unwrap();
+    let exe = world
+        .link(
+            "/bin/cbmain",
+            &[
+                ("/src/cbmain.o", ShareClass::StaticPrivate),
+                ("/shared/lib/cb.o", ShareClass::DynamicPublic),
+            ],
+        )
+        .unwrap();
+    let pid = world.spawn(&exe).unwrap();
+    let compared = assert_staging_matches_rebuild(&mut world, |_| {});
+    assert_eq!(compared, 2, "init and the lazy link of cb");
+    assert_eq!(world.exit_code(pid), Some(6), "log: {:?}", world.log);
+    assert!(world.stats().ldl.trampolines >= 1);
+    let path = hlink::snapshot::path_for(&world.kernel.vfs, "/bin/cbmain");
+    let snap = hlink::snapshot::load(&mut world.kernel.vfs, &path)
+        .unwrap()
+        .expect("record written at exit");
+    let cb = snap.modules.iter().find(|m| m.name == "cb").unwrap();
+    assert!(
+        cb.tramp.2 > 0,
+        "cb's own area holds the trampoline: {:?}",
+        cb.tramp
+    );
+
+    // An image whose init stages nothing but a warning: its one
+    // dynamic module is gone by the time it runs.
+    let mut world = traced_world();
+    world.install_template("/shared/lib/lib2.o", LIB2).unwrap();
+    world
+        .install_template(
+            "/src/quiet.o",
+            ".module quiet\n.text\n.globl main\nmain: li v0, 0\njr ra\n",
+        )
+        .unwrap();
+    let exe = world
+        .link(
+            "/bin/quiet",
+            &[
+                ("/src/quiet.o", ShareClass::StaticPrivate),
+                ("/shared/lib/lib2.o", ShareClass::DynamicPublic),
+            ],
+        )
+        .unwrap();
+    world.kernel.vfs.unlink("/shared/lib/lib2.o").unwrap();
+    let pid = world.spawn(&exe).unwrap();
+    assert_eq!(assert_staging_matches_rebuild(&mut world, |_| {}), 1);
+    assert_eq!(world.exit_code(pid), Some(0), "log: {:?}", world.log);
+    let path = hlink::snapshot::path_for(&world.kernel.vfs, "/bin/quiet");
+    let snap = hlink::snapshot::load(&mut world.kernel.vfs, &path)
+        .unwrap()
+        .expect("record written at exit");
+    assert_eq!(snap.warnings.len(), 1, "{:?}", snap.warnings);
 }
