@@ -20,7 +20,7 @@ use crate::tramp::{reserve_for, TrampolineArea};
 use hobj::reloc::patch_word;
 use hobj::{binfmt, ImageReloc, Object, RelocKind, SectionId};
 use hsfs::vfs::Mount;
-use hsfs::{ChangeLog, FsError, Ino, LockKind, SharedFs, Vfs, PAGE_SIZE};
+use hsfs::{FsError, Ino, LockKind, SharedFs, Vfs, PAGE_SIZE};
 use std::collections::HashMap;
 
 /// Where each piece of a module lands relative to its base.
@@ -227,15 +227,10 @@ pub fn apply_with_trampoline(
 #[derive(Debug, Default)]
 pub struct ModuleRegistry {
     cache: HashMap<Ino, ModuleMeta>,
-    /// Per-inode record generation: the tick of the latest
-    /// [`ModuleRegistry::put`] or [`ModuleRegistry::forget`] of the
-    /// inode, the two calls that change its cached record.
+    /// Per-inode record generation: moves whenever the cached record
+    /// for the inode may change ([`ModuleRegistry::put`],
+    /// [`ModuleRegistry::forget`]).
     generations: HashMap<Ino, u64>,
-    /// The clock behind the generations; [`ModuleRegistry::clear_cache`]
-    /// moves every generation at once.
-    changes: ChangeLog,
-    /// Every generation is at least this tick (the last cache clear).
-    generation_floor: u64,
     /// Memoized [`ModuleRegistry::digests`], valid while the file's
     /// content epoch and the record generation both stand still.
     digests: HashMap<Ino, DigestMemo>,
@@ -267,7 +262,7 @@ impl ModuleRegistry {
 
     /// Stores metadata for `ino` (persisting it).
     pub fn put(&mut self, vfs: &mut Vfs, ino: Ino, meta: ModuleMeta) -> Result<(), LinkError> {
-        self.generations.insert(ino, self.changes.tick(ino));
+        *self.generations.entry(ino).or_default() += 1;
         meta.save(vfs, ino)?;
         self.cache.insert(ino, meta);
         Ok(())
@@ -275,33 +270,24 @@ impl ModuleRegistry {
 
     /// Drops `ino` from cache and disk (segment destroyed).
     pub fn forget(&mut self, vfs: &mut Vfs, ino: Ino) {
-        self.generations.insert(ino, self.changes.tick(ino));
+        *self.generations.entry(ino).or_default() += 1;
         self.cache.remove(&ino);
         ModuleMeta::remove(vfs, ino);
     }
 
     /// Drops only the in-memory cache (simulating a reboot; the on-disk
     /// records survive, like the paper's scan-rebuildable table) and,
-    /// with it, every memoized digest. Every record generation moves:
-    /// a record reloaded from disk need not be the one cached before.
+    /// with it, every memoized digest.
     pub fn clear_cache(&mut self) {
         self.cache.clear();
         self.digests.clear();
-        self.generation_floor = self.changes.tick_all();
     }
 
     /// The record generation of `ino`: moves whenever the cached record
     /// for the inode may change. Part of the key [`ModuleRegistry::digests`]
     /// memoizes under.
     pub fn generation(&self, ino: Ino) -> u64 {
-        let own = self.generations.get(&ino).copied().unwrap_or(0);
-        own.max(self.generation_floor)
-    }
-
-    /// The clock behind [`ModuleRegistry::generation`], with the inodes
-    /// its recent ticks moved.
-    pub fn changes(&self) -> &ChangeLog {
-        &self.changes
+        self.generations.get(&ino).copied().unwrap_or(0)
     }
 
     /// CRC-32 digests of a public instance — of the file's bytes (read

@@ -20,7 +20,7 @@ use crate::scope::{LinkDag, ROOT};
 use crate::search::SearchPath;
 use crate::tramp::trampoline_code;
 use hkernel::layout::{DATA_END, DYN_PRIVATE_BASE};
-use hkernel::{Kernel, Pid, ProcState, Prot, RepageOutcome};
+use hkernel::{Kernel, Pid, Prot, RepageOutcome};
 use hobj::reloc::RelocError;
 use hobj::{binfmt, ImageReloc, LoadImage, RelocKind, SearchStrategy, ShareClass};
 use hsfs::vfs::Mount;
@@ -292,12 +292,8 @@ struct BuiltRecord {
     /// Per entry of `record.modules`: the (file content epoch, registry
     /// record generation) its digests were taken under.
     digest_keys: Vec<(u64, u64)>,
-    /// Entry names by inode.
-    names: HashMap<Ino, String>,
-    /// The clocks as of the stage that built it: the file system's
-    /// content clock, the registry's record clock and the file system's
-    /// name epoch.
-    clocks: (u64, u64, u64),
+    /// The file system's name epoch as of the stage that built it.
+    name_epoch: u64,
 }
 
 /// A prelink-snapshot write staged by [`Ldl::stage_snapshot`].
@@ -335,9 +331,11 @@ impl LinkState {
         }
     }
 
-    /// Marks `name`'s snapshot entry for a rebuild at the next stage.
+    /// Marks `name`'s snapshot entry for a rebuild at the next stage
+    /// (a no-op when snapshots are off: `init` sets the snapshot path
+    /// before it maps any module).
     fn mark_dirty(&mut self, name: &str) {
-        if !self.snap_dirty.contains(name) {
+        if self.snap_path.is_some() && !self.snap_dirty.contains(name) {
             self.snap_dirty.insert(name.to_string());
         }
     }
@@ -712,13 +710,12 @@ impl<'a> Ldl<'a> {
     /// stage, not with the link map. Only modules marked dirty
     /// (inserted, mutated or given a new DAG edge) get a fresh entry,
     /// and the image-side fields are copied only when they moved. Every
-    /// other entry stays in place. The file system's and the registry's
-    /// change logs name the inodes whose content epoch or record
-    /// generation moved since the last stage; only those entries have
-    /// their digests re-taken (through the registry memo). Every entry
-    /// is re-checked instead when the logs cannot say, when the name
-    /// epoch moved (paths are then re-checked too) or while any page is
-    /// poisoned. The staged record equals [`Ldl::snapshot_from_scratch`].
+    /// other entry stays in place after one key check: its digests are
+    /// re-taken (through the registry memo) only when the file's content
+    /// epoch or the registry's record generation moved, or a page of the
+    /// file is poisoned. Paths are re-checked only when the file
+    /// system's name epoch moved. The staged record equals
+    /// [`Ldl::snapshot_from_scratch`].
     pub fn stage_snapshot(&mut self) {
         if self.state.snap_path.is_none() {
             return;
@@ -741,11 +738,7 @@ impl<'a> Ldl<'a> {
         }
         let fs = &self.kernel.vfs.shared.fs;
         let mount = self.kernel.vfs.mount_point.as_str();
-        let clocks = (
-            fs.content_changes().clock(),
-            self.registry.changes().clock(),
-            fs.name_epoch(),
-        );
+        let name_epoch = fs.name_epoch();
         // Every dirty module gets a fresh entry.
         let mut fresh = Vec::with_capacity(state.snap_dirty.len());
         for name in &state.snap_dirty {
@@ -757,30 +750,12 @@ impl<'a> Ldl<'a> {
             };
             fresh.push(entry);
         }
-        // Carried entries to re-check: those whose file or record moved
-        // since the last stage — or every one, when the change logs
-        // cannot say, a path may have moved, or a page is poisoned.
-        let mut recheck = Vec::new();
+        // Every carried entry: a fresh one when its path no longer
+        // holds, otherwise new digests when their key moved.
+        let mut redigest = Vec::new();
         if let Some(b) = &state.snap_built {
-            let paths_moved = b.clocks.2 != clocks.2;
-            let files = fs.content_changes().since(b.clocks.0);
-            let records = self.registry.changes().since(b.clocks.1);
-            let candidates: Vec<usize> = match (files, records) {
-                (Some(files), Some(records)) if !paths_moved && fs.poisoned_blocks() == 0 => {
-                    let mut inos: Vec<Ino> = files.chain(records).collect();
-                    inos.sort_unstable();
-                    inos.dedup();
-                    inos.iter()
-                        .filter_map(|ino| b.names.get(ino))
-                        .filter_map(|name| {
-                            b.record.modules.binary_search_by(|p| p.name.cmp(name)).ok()
-                        })
-                        .collect()
-                }
-                _ => (0..b.record.modules.len()).collect(),
-            };
-            for i in candidates {
-                let p = &b.record.modules[i];
+            let paths_moved = b.name_epoch != name_epoch;
+            for (i, p) in b.record.modules.iter().enumerate() {
                 if state.snap_dirty.contains(&p.name) {
                     continue;
                 }
@@ -788,31 +763,27 @@ impl<'a> Ldl<'a> {
                     || p.path
                         .strip_prefix(mount)
                         .is_some_and(|inner| fs.has_path(p.ino, inner));
-                if path_holds {
-                    recheck.push(i);
+                if !path_holds {
+                    let rebuilt = state
+                        .modules
+                        .get(&p.name)
+                        .and_then(|m| fresh_entry(fs, mount, &state.dag, m));
+                    let Some(entry) = rebuilt else {
+                        return;
+                    };
+                    fresh.push(entry);
                     continue;
                 }
-                let rebuilt = state
-                    .modules
-                    .get(&p.name)
-                    .and_then(|m| fresh_entry(fs, mount, &state.dag, m));
-                let Some(entry) = rebuilt else {
-                    return;
-                };
-                fresh.push(entry);
+                let key = (fs.content_epoch(p.ino), self.registry.generation(p.ino));
+                if key != b.digest_keys[i] || fs.has_poison(p.ino) {
+                    redigest.push((i, key));
+                }
             }
         }
-        // Digests, through the registry memo: every fresh entry, and
-        // every re-checked entry whose key moved.
-        let mut redigested = Vec::new();
+        let mut redigested = Vec::with_capacity(redigest.len());
         if let Some(b) = &state.snap_built {
-            for i in recheck {
+            for (i, key) in redigest {
                 let p = &b.record.modules[i];
-                let fs = &self.kernel.vfs.shared.fs;
-                let key = (fs.content_epoch(p.ino), self.registry.generation(p.ino));
-                if key == b.digest_keys[i] && !fs.has_poison(p.ino) {
-                    continue;
-                }
                 let Some(digests) = self.registry.digests(&mut self.kernel.vfs, p.ino, &p.path)
                 else {
                     return;
@@ -844,15 +815,10 @@ impl<'a> Ldl<'a> {
         for (m, key) in fresh.into_iter().zip(fresh_keys) {
             match b.record.modules.binary_search_by(|p| p.name.cmp(&m.name)) {
                 Ok(i) => {
-                    if b.record.modules[i].ino != m.ino {
-                        b.names.remove(&b.record.modules[i].ino);
-                        b.names.insert(m.ino, m.name.clone());
-                    }
                     b.record.modules[i] = m;
                     b.digest_keys[i] = key;
                 }
                 Err(i) => {
-                    b.names.insert(m.ino, m.name.clone());
                     b.record.modules.insert(i, m);
                     b.digest_keys.insert(i, key);
                 }
@@ -867,7 +833,7 @@ impl<'a> Ldl<'a> {
         b.record.scope_hash = state.snap_scope;
         b.record.stamp = stamp;
         b.record.image_tramp_used = state.image_tramp.2;
-        b.clocks = clocks;
+        b.name_epoch = name_epoch;
         state.snap_dirty.clear();
         state.snap_image_dirty = false;
         state.snap_staged = Some(StagedSnapshot::Store);
@@ -939,17 +905,6 @@ impl<'a> Ldl<'a> {
                     }
                 }
             }
-        }
-        // An exited process never stages again: free what a next stage
-        // would have updated instead of keeping it for the zombie.
-        let live = self
-            .kernel
-            .procs
-            .get(&self.pid)
-            .is_some_and(|p| !matches!(p.state, ProcState::Zombie(_)));
-        if !live {
-            self.state.snap_built = None;
-            self.state.snap_dirty.clear();
         }
     }
 

@@ -6,7 +6,6 @@
 //! shared partition. Inode numbers are slot indices so the shared layer
 //! can derive each file's virtual address directly from its inode number.
 
-use crate::changes::ChangeLog;
 use crate::error::FsError;
 use crate::journal::{
     fnv1a, CorruptBlockInfo, CorruptKind, Durable, Payload, RecKind, ReplayStats,
@@ -142,10 +141,9 @@ pub struct FileSystem {
     /// write happened anywhere — see [`FileSystem::content_stamp`].
     content_stamp: u64,
     /// Monotonic clock behind [`FileSystem::content_epoch`]: every file
-    /// mutation takes a fresh tick naming the file. Unlike
-    /// `content_stamp` it is never rolled back, so no two content states
-    /// of a file share a tick.
-    content_log: ChangeLog,
+    /// mutation takes a fresh tick. Unlike `content_stamp` it is never
+    /// rolled back, so no two content states of a file share a tick.
+    content_clock: u64,
     /// Every file's content epoch is at least this tick. Raised by a
     /// power cut, which replaces the live tree wholesale without
     /// per-file bookkeeping.
@@ -207,7 +205,7 @@ impl FileSystem {
             faults: FaultHandle::unarmed(),
             write_epochs: BTreeMap::new(),
             content_stamp: 0,
-            content_log: ChangeLog::default(),
+            content_clock: 0,
             content_floor: 0,
             name_clock: 0,
             durable: None,
@@ -733,9 +731,9 @@ impl FileSystem {
             // Stamp the touched pages (the full attempted range even
             // when torn — over-invalidation is always safe).
             self.content_stamp += 1;
-            let tick = self.content_log.tick(ino);
+            self.content_clock += 1;
             let epochs = self.write_epochs.entry(ino).or_default();
-            epochs.content = tick;
+            epochs.content = self.content_clock;
             let first = (offset / crate::PAGE_SIZE as u64) as u32;
             let last = ((end - 1) / crate::PAGE_SIZE as u64) as u32;
             for page in first..=last {
@@ -886,9 +884,9 @@ impl FileSystem {
     /// cached blocks decoded from the file's text pages.
     pub fn file_bytes_mut_stamped(&mut self, ino: Ino, page: u32) -> Result<&mut [u8], FsError> {
         self.content_stamp += 1;
-        let tick = self.content_log.tick(ino);
+        self.content_clock += 1;
         let epochs = self.write_epochs.entry(ino).or_default();
-        epochs.content = tick;
+        epochs.content = self.content_clock;
         *epochs.pages.entry(page).or_default() += 1;
         if let Some(d) = self.durable.as_deref_mut() {
             d.mark_page(ino, page);
@@ -901,16 +899,16 @@ impl FileSystem {
 
     /// Bumps the file's whole-file write epoch (every page at once).
     fn bump_whole(&mut self, ino: Ino) {
-        let tick = self.content_log.tick(ino);
+        self.content_clock += 1;
         let epochs = self.write_epochs.entry(ino).or_default();
         epochs.whole += 1;
-        epochs.content = tick;
+        epochs.content = self.content_clock;
     }
 
     /// Moves the file's content epoch without touching its page epochs.
     fn tick_content(&mut self, ino: Ino) {
-        let tick = self.content_log.tick(ino);
-        self.write_epochs.entry(ino).or_default().content = tick;
+        self.content_clock += 1;
+        self.write_epochs.entry(ino).or_default().content = self.content_clock;
     }
 
     /// The global content stamp: unchanged between two reads ⇒ no file's
@@ -960,14 +958,6 @@ impl FileSystem {
     /// leaves every existing path alone and does not move it.
     pub fn name_epoch(&self) -> u64 {
         self.name_clock
-    }
-
-    /// The clock behind [`FileSystem::content_epoch`], with the files
-    /// its recent ticks moved: a file absent from
-    /// `content_changes().since(t)` has had the same content epoch since
-    /// tick `t`.
-    pub fn content_changes(&self) -> &ChangeLog {
-        &self.content_log
     }
 
     /// True when any page of the file is poisoned, so a read of the
@@ -1132,7 +1122,7 @@ impl FileSystem {
             faults: FaultHandle::unarmed(),
             write_epochs: BTreeMap::new(),
             content_stamp: 0,
-            content_log: ChangeLog::default(),
+            content_clock: 0,
             content_floor: 0,
             name_clock: 0,
             durable: None,
@@ -1285,7 +1275,8 @@ impl FileSystem {
         self.free = twin.free;
         self.live = twin.live;
         self.write_epochs.clear();
-        self.content_floor = self.content_log.tick_all();
+        self.content_clock += 1;
+        self.content_floor = self.content_clock;
         self.name_clock += 1;
         let mut nd = Durable::new(self.snapshot_for_disk());
         nd.journal = std::mem::take(&mut d.journal);
@@ -1835,26 +1826,6 @@ mod tests {
         assert!(e2 > e1, "unlink releases the inode");
         f.rename("/d/f/a", "/d/f/a").unwrap();
         assert_eq!(f.name_epoch(), e2, "a no-op rename moves nothing");
-    }
-
-    #[test]
-    fn content_changes_name_the_files_each_mutation_moved() {
-        let mut f = fs();
-        let a = f.create_file("/a", 0o644, 0).unwrap();
-        let b = f.create_file("/b", 0o644, 0).unwrap();
-        let t = f.content_changes().clock();
-        let epoch_b = f.content_epoch(b);
-        f.write_at(a, 0, b"A").unwrap();
-        f.truncate(a, 8).unwrap();
-        f.file_bytes_mut_stamped(a, 0).unwrap()[0] = 1;
-        let moved: Vec<Ino> = f.content_changes().since(t).unwrap().collect();
-        assert_eq!(moved, vec![a, a, a]);
-        assert_eq!(f.content_epoch(a), f.content_changes().clock());
-        assert_eq!(
-            f.content_epoch(b),
-            epoch_b,
-            "b is not in the log and did not move"
-        );
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //!   shared partition into one path space, the view the kernel gives
 //!   processes.
 
-pub mod changes;
 pub mod error;
 pub mod fs;
 pub mod journal;
@@ -31,7 +30,6 @@ pub mod stats;
 pub mod tools;
 pub mod vfs;
 
-pub use changes::ChangeLog;
 pub use error::FsError;
 pub use fs::{FileSystem, FsConfig, Ino, LockKind, Metadata, NodeKind, ScrubFinding, ScrubReport};
 pub use journal::{CorruptBlockInfo, CorruptKind, ReplayStats};
