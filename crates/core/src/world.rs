@@ -423,13 +423,6 @@ impl World {
         self.kernel.frame_pool().set_swap_pages(pages);
     }
 
-    /// Caps each process's resident set to `quota` pages (or lifts the
-    /// cap). Enforced at slice boundaries by evicting the over-quota
-    /// process's own pages, even when the global pool has room.
-    pub fn set_resident_quota(&mut self, quota: Option<u64>) {
-        self.kernel.frame_pool().set_quota(quota);
-    }
-
     /// The world's frame pool (budget configuration and statistics).
     pub fn frame_pool(&self) -> &hkernel::FramePool {
         self.kernel.frame_pool()

@@ -335,9 +335,10 @@ impl Kernel {
 
     /// Maps a pre-resolved module segment recorded by a validated
     /// prelink snapshot: straight to its slot address with the recorded
-    /// protection, skipping the registry and metadata reads of a full
-    /// link. The caller (the linker) has already proven the segment's
-    /// content matches the snapshot's digest.
+    /// protection, skipping the registry lookup of a full link. The
+    /// caller (the linker) has already proven the segment's content and
+    /// metadata record match the snapshot's digests, and takes the
+    /// length from that record.
     pub fn map_prelinked(
         &mut self,
         pid: Pid,
@@ -709,11 +710,9 @@ impl Kernel {
     /// forward progress unconditional); this is where the overshoot is
     /// paid back. When a full clock rotation frees nothing — every
     /// remaining anonymous page found swap full — the deterministic OOM
-    /// killer fires. The quota pass afterwards trims processes over the
-    /// per-process resident cap; quota misses are not fatal (referenced
-    /// pages keep their second chance until a later slice).
+    /// killer fires.
     fn rebalance(&mut self) -> Option<RunEvent> {
-        if self.procs.is_empty() || (!self.pool.over_budget() && self.pool.quota().is_none()) {
+        if self.procs.is_empty() || !self.pool.over_budget() {
             return None;
         }
         while self.pool.over_budget() {
@@ -733,35 +732,6 @@ impl Kernel {
                     break;
                 }
                 return Some(self.oom_kill());
-            }
-        }
-        if let Some(quota) = self.pool.quota() {
-            let pids: Vec<Pid> = self
-                .procs
-                .iter()
-                .filter(|(_, p)| !matches!(p.state, ProcState::Zombie(_)))
-                .map(|(&pid, _)| pid)
-                .collect();
-            for pid in pids {
-                let mut from = 0;
-                loop {
-                    // invariant: collected from `procs` above; eviction
-                    // never removes a process entry.
-                    let proc = self.procs.get_mut(&pid).expect("live pid");
-                    if proc.aspace.resident_pages() <= quota {
-                        break;
-                    }
-                    let Some(vpn) = proc.aspace.clock_scan(from) else {
-                        break;
-                    };
-                    // Skip unevictable pages (swap full / chaos) and
-                    // keep sweeping; the sweep is strictly forward.
-                    let outcome = proc.aspace.evict_page(pid, vpn, &mut self.vfs.shared);
-                    if outcome == EvictOutcome::Evicted {
-                        self.shootdown(pid, vpn * PAGE_SIZE, 1);
-                    }
-                    from = vpn + 1;
-                }
             }
         }
         None

@@ -223,26 +223,16 @@ pub fn apply_with_trampoline(
 }
 
 /// A cache of public-module metadata keyed by shared-partition inode,
-/// backed by the on-disk records in [`crate::meta::META_DIR`].
+/// backed by the on-disk records in [`crate::meta::META_DIR`]. Each
+/// cached record keeps its envelope trailer — the CRC-32 of the bytes
+/// [`ModuleRegistry::get`] read or [`ModuleRegistry::put`] wrote — which
+/// is the metadata digest a prelink snapshot records.
 #[derive(Debug, Default)]
 pub struct ModuleRegistry {
-    cache: HashMap<Ino, ModuleMeta>,
-    /// Per-inode record generation: moves whenever the cached record
-    /// for the inode may change ([`ModuleRegistry::put`],
-    /// [`ModuleRegistry::forget`]).
-    generations: HashMap<Ino, u64>,
-    /// Memoized [`ModuleRegistry::digests`], valid while the file's
-    /// content epoch and the record generation both stand still.
-    digests: HashMap<Ino, DigestMemo>,
-}
-
-/// One memoized digest pair and the key it was computed under.
-#[derive(Clone, Copy, Debug)]
-struct DigestMemo {
-    content_epoch: u64,
-    generation: u64,
-    content: u32,
-    meta: u32,
+    cache: HashMap<Ino, (ModuleMeta, u32)>,
+    /// Memoized instance-file digests: (file content epoch, CRC-32 of
+    /// the file's bytes under that epoch).
+    digests: HashMap<Ino, (u64, u32)>,
 }
 
 impl ModuleRegistry {
@@ -251,26 +241,34 @@ impl ModuleRegistry {
         ModuleRegistry::default()
     }
 
-    /// Loads (and caches) the metadata for `ino`.
-    pub fn get(&mut self, vfs: &mut Vfs, ino: Ino) -> Option<&ModuleMeta> {
+    /// Loads (and caches) the metadata for `ino`, with its trailer.
+    fn entry(&mut self, vfs: &mut Vfs, ino: Ino) -> Option<&(ModuleMeta, u32)> {
         if let std::collections::hash_map::Entry::Vacant(e) = self.cache.entry(ino) {
-            let meta = ModuleMeta::load(vfs, ino)?;
-            e.insert(meta);
+            e.insert(ModuleMeta::load(vfs, ino)?);
         }
         self.cache.get(&ino)
     }
 
+    /// Loads (and caches) the metadata for `ino`.
+    pub fn get(&mut self, vfs: &mut Vfs, ino: Ino) -> Option<&ModuleMeta> {
+        self.entry(vfs, ino).map(|(meta, _)| meta)
+    }
+
+    /// The trailer of the cached record for `ino`, without I/O: `None`
+    /// when no record is cached.
+    pub fn cached_crc(&self, ino: Ino) -> Option<u32> {
+        self.cache.get(&ino).map(|&(_, crc)| crc)
+    }
+
     /// Stores metadata for `ino` (persisting it).
     pub fn put(&mut self, vfs: &mut Vfs, ino: Ino, meta: ModuleMeta) -> Result<(), LinkError> {
-        *self.generations.entry(ino).or_default() += 1;
-        meta.save(vfs, ino)?;
-        self.cache.insert(ino, meta);
+        let crc = meta.save(vfs, ino)?;
+        self.cache.insert(ino, (meta, crc));
         Ok(())
     }
 
     /// Drops `ino` from cache and disk (segment destroyed).
     pub fn forget(&mut self, vfs: &mut Vfs, ino: Ino) {
-        *self.generations.entry(ino).or_default() += 1;
         self.cache.remove(&ino);
         ModuleMeta::remove(vfs, ino);
     }
@@ -283,33 +281,25 @@ impl ModuleRegistry {
         self.digests.clear();
     }
 
-    /// The record generation of `ino`: moves whenever the cached record
-    /// for the inode may change. Part of the key [`ModuleRegistry::digests`]
-    /// memoizes under.
-    pub fn generation(&self, ino: Ino) -> u64 {
-        self.generations.get(&ino).copied().unwrap_or(0)
-    }
-
-    /// CRC-32 digests of a public instance — of the file's bytes (read
-    /// unpriced at `path`) and of its live metadata record — as a
-    /// prelink snapshot records them. `None` when either cannot be read.
+    /// The digests of a public instance as a prelink snapshot records
+    /// them: the CRC-32 of the file's bytes (read unpriced at `path`)
+    /// and the trailer of its live metadata record. `None` when either
+    /// cannot be read.
     ///
-    /// Memoized per inode under the key (file content epoch, record
-    /// generation): a digest is recomputed only when its file was
-    /// written or its record replaced since the last call. A file with
-    /// a poisoned page bypasses the memo, so a read that would fail
-    /// still fails.
+    /// The file digest is memoized per inode under the file's content
+    /// epoch, so it is recomputed only when the file was written since
+    /// the last call. A file with a poisoned page bypasses the memo, so
+    /// a read that would fail still fails.
     pub fn digests(&mut self, vfs: &mut Vfs, ino: Ino, path: &str) -> Option<(u32, u32)> {
-        let content_epoch = vfs.shared.fs.content_epoch(ino);
-        let generation = self.generation(ino);
-        if !vfs.shared.fs.has_poison(ino) {
-            if let Some(m) = self.digests.get(&ino) {
-                if m.content_epoch == content_epoch && m.generation == generation {
-                    return Some((m.content, m.meta));
-                }
+        let epoch = vfs.shared.fs.content_epoch(ino);
+        let content = match self.digests.get(&ino) {
+            Some(&(e, crc)) if e == epoch && !vfs.shared.fs.has_poison(ino) => crc,
+            _ => {
+                let crc = binfmt::crc32(&vfs.unpriced(|v| v.read_all(path).ok())?);
+                self.digests.insert(ino, (epoch, crc));
+                crc
             }
-        }
-        let content = vfs.unpriced(|v| v.read_all(path).ok())?;
+        };
         // The metadata digest comes from the *live* record, not the
         // on-disk file: if the device died before the record's fence
         // committed, `ModuleMeta::save` skipped the durable write, and
@@ -318,17 +308,7 @@ impl ModuleRegistry {
         // Next boot's validation compares this digest against the file
         // that actually survived — a skipped or stale record simply
         // fails to validate.
-        let meta = binfmt::crc32(&self.get(vfs, ino)?.encode());
-        let content = binfmt::crc32(&content);
-        self.digests.insert(
-            ino,
-            DigestMemo {
-                content_epoch,
-                generation,
-                content,
-                meta,
-            },
-        );
+        let meta = self.entry(vfs, ino)?.1;
         Some((content, meta))
     }
 }

@@ -16,6 +16,7 @@
 
 use crate::error::LinkError;
 use crate::instance::{ensure_public_instance, instantiate, ModuleRegistry};
+use crate::meta::ModuleMeta;
 use crate::scope::{LinkDag, ROOT};
 use crate::search::SearchPath;
 use crate::tramp::trampoline_code;
@@ -56,6 +57,31 @@ pub struct ModuleInst {
 }
 
 impl ModuleInst {
+    /// The instance a metadata record describes, as one process links
+    /// it: the record's layout, exports, pendings and search information
+    /// with the given class, lazy bit and backing inode (`None` for a
+    /// private instance).
+    pub fn from_meta(
+        meta: ModuleMeta,
+        class: ShareClass,
+        lazy: bool,
+        ino: Option<Ino>,
+    ) -> ModuleInst {
+        ModuleInst {
+            export_index: ModuleInst::index_exports(&meta.exports),
+            name: meta.name,
+            class,
+            base: meta.base,
+            total_len: meta.total_len,
+            exports: meta.exports,
+            pending: meta.pending,
+            search: meta.search,
+            lazy,
+            ino,
+            tramp: (meta.tramp_off, meta.tramp_cap, meta.tramp_used),
+        }
+    }
+
     /// True if `addr` falls inside this instance.
     pub fn contains(&self, addr: u32) -> bool {
         addr >= self.base && addr < self.base + self.total_len
@@ -289,9 +315,9 @@ pub struct LinkState {
 #[derive(Clone, Debug, Default)]
 struct BuiltRecord {
     record: crate::snapshot::PrelinkSnapshot,
-    /// Per entry of `record.modules`: the (file content epoch, registry
-    /// record generation) its digests were taken under.
-    digest_keys: Vec<(u64, u64)>,
+    /// Per entry of `record.modules`: the file content epoch its
+    /// content digest was taken under.
+    content_epochs: Vec<u64>,
     /// The file system's name epoch as of the stage that built it.
     name_epoch: u64,
 }
@@ -398,13 +424,9 @@ fn fresh_entry(
         class: m.class,
         path: format!("{mount}{inner}"),
         ino,
-        base: m.base,
-        total_len: m.total_len,
         lazy: m.lazy,
-        tramp: m.tramp,
-        exports: m.exports.clone(),
+        tramp_used: m.tramp.2,
         pending: m.pending.clone(),
-        search: m.search.clone(),
         parents: dag.parents_of(&m.name).to_vec(),
         content_digest: 0,
         meta_digest: 0,
@@ -606,14 +628,17 @@ impl<'a> Ldl<'a> {
             Err(e) => return Err(e),
         };
         let scope = self.state.snap_scope;
-        if let Err(why) = self.kernel.vfs.unpriced(|v| snap.validate(v, scope)) {
-            self.state.stats.snapshot_invalidations += 1;
-            self.state
-                .journal
-                .push(LinkEvent::SnapshotInvalidated { exe, why });
-            return Ok(None);
-        }
-        self.apply_snapshot(&snap)?;
+        let metas = match self.kernel.vfs.unpriced(|v| snap.validate(v, scope)) {
+            Ok(metas) => metas,
+            Err(why) => {
+                self.state.stats.snapshot_invalidations += 1;
+                self.state
+                    .journal
+                    .push(LinkEvent::SnapshotInvalidated { exe, why });
+                return Ok(None);
+            }
+        };
+        self.apply_snapshot(&snap, metas)?;
         self.state.stats.snapshot_hits += 1;
         self.state.journal.push(LinkEvent::SnapshotHit {
             exe,
@@ -623,31 +648,31 @@ impl<'a> Ldl<'a> {
     }
 
     /// Applies a validated snapshot: maps every recorded instance at
-    /// its slot address, rebuilds the in-process link bookkeeping, and
-    /// replays the image-owned trampolines and patches into the fresh
-    /// private image. No registry reads, no export searches, no symbol
-    /// resolutions — that is the point.
-    fn apply_snapshot(&mut self, snap: &crate::snapshot::PrelinkSnapshot) -> Result<(), LinkError> {
-        for m in &snap.modules {
+    /// its slot address, rebuilds the in-process link bookkeeping from
+    /// the metadata records validation read (`metas`, in `snap.modules`
+    /// order) and the process's own view of each module, and replays
+    /// the image-owned trampolines and patches into the fresh private
+    /// image. No export searches, no symbol resolutions — that is the
+    /// point.
+    fn apply_snapshot(
+        &mut self,
+        snap: &crate::snapshot::PrelinkSnapshot,
+        metas: Vec<ModuleMeta>,
+    ) -> Result<(), LinkError> {
+        for (m, meta) in snap.modules.iter().zip(&metas) {
             let prot = if m.lazy { Prot::NONE } else { Prot::RWX };
             self.kernel
-                .map_prelinked(self.pid, m.base, m.total_len, prot, m.ino)
+                .map_prelinked(self.pid, meta.base, meta.total_len, prot, m.ino)
                 .map_err(LinkError::Fs)?;
         }
-        for m in &snap.modules {
-            self.state.insert_module(ModuleInst {
-                name: m.name.clone(),
-                class: m.class,
-                base: m.base,
-                total_len: m.total_len,
-                export_index: ModuleInst::index_exports(&m.exports),
-                exports: m.exports.clone(),
-                pending: m.pending.clone(),
-                search: m.search.clone(),
-                lazy: m.lazy,
-                ino: Some(m.ino),
-                tramp: m.tramp,
-            });
+        for (m, mut meta) in snap.modules.iter().zip(metas) {
+            // The shared record may be ahead of the view this process
+            // stored (another process linked the module since): replay
+            // the stored view.
+            meta.pending = m.pending.clone();
+            meta.tramp_used = m.tramp_used;
+            self.state
+                .insert_module(ModuleInst::from_meta(meta, m.class, m.lazy, Some(m.ino)));
             for parent in &m.parents {
                 self.state.add_edge(&m.name, parent);
             }
@@ -699,23 +724,23 @@ impl<'a> Ldl<'a> {
 
     /// Stages the record this link map would store as the image's
     /// prelink snapshot — called after every successful resolve (init,
-    /// and each completed lazy link). The digests and the content stamp
-    /// are taken now, as of this link; nothing is written until
-    /// [`Ldl::flush_snapshot`]. Failures are absorbed: when a path or a
-    /// digest cannot be taken the previously staged record stands,
-    /// which only costs the *next* run its warm path, never this run
-    /// its correctness.
+    /// and each completed lazy link). The digests are taken now, as of
+    /// this link; nothing is written until [`Ldl::flush_snapshot`].
+    /// Failures are absorbed: when a path or a digest cannot be taken
+    /// the previously staged record stands, which only costs the *next*
+    /// run its warm path, never this run its correctness.
     ///
     /// The work scales with what changed since the last successful
     /// stage, not with the link map. Only modules marked dirty
     /// (inserted, mutated or given a new DAG edge) get a fresh entry,
     /// and the image-side fields are copied only when they moved. Every
-    /// other entry stays in place after one key check: its digests are
-    /// re-taken (through the registry memo) only when the file's content
-    /// epoch or the registry's record generation moved, or a page of the
-    /// file is poisoned. Paths are re-checked only when the file
-    /// system's name epoch moved. The staged record equals
-    /// [`Ldl::snapshot_from_scratch`].
+    /// other entry stays in place after a check without I/O: its digests
+    /// are re-taken (through the registry memo) only when the file's
+    /// content epoch moved, a page of the file is poisoned, or its
+    /// metadata digest differs from the trailer of the registry's cached
+    /// record (no cached record counts as a difference). Paths are
+    /// re-checked only when the file system's name epoch moved. The
+    /// staged record equals [`Ldl::snapshot_from_scratch`].
     pub fn stage_snapshot(&mut self) {
         if self.state.snap_path.is_none() {
             return;
@@ -751,7 +776,7 @@ impl<'a> Ldl<'a> {
             fresh.push(entry);
         }
         // Every carried entry: a fresh one when its path no longer
-        // holds, otherwise new digests when their key moved.
+        // holds, otherwise new digests when either may have moved.
         let mut redigest = Vec::new();
         if let Some(b) = &state.snap_built {
             let paths_moved = b.name_epoch != name_epoch;
@@ -774,53 +799,52 @@ impl<'a> Ldl<'a> {
                     fresh.push(entry);
                     continue;
                 }
-                let key = (fs.content_epoch(p.ino), self.registry.generation(p.ino));
-                if key != b.digest_keys[i] || fs.has_poison(p.ino) {
-                    redigest.push((i, key));
+                let epoch = fs.content_epoch(p.ino);
+                if epoch != b.content_epochs[i]
+                    || fs.has_poison(p.ino)
+                    || self.registry.cached_crc(p.ino) != Some(p.meta_digest)
+                {
+                    redigest.push((i, epoch));
                 }
             }
         }
         let mut redigested = Vec::with_capacity(redigest.len());
         if let Some(b) = &state.snap_built {
-            for (i, key) in redigest {
+            for (i, epoch) in redigest {
                 let p = &b.record.modules[i];
                 let Some(digests) = self.registry.digests(&mut self.kernel.vfs, p.ino, &p.path)
                 else {
                     return;
                 };
-                redigested.push((i, digests, key));
+                redigested.push((i, digests, epoch));
             }
         }
-        let mut fresh_keys = Vec::with_capacity(fresh.len());
+        let mut fresh_epochs = Vec::with_capacity(fresh.len());
         for m in &mut fresh {
-            let key = (
-                self.kernel.vfs.shared.fs.content_epoch(m.ino),
-                self.registry.generation(m.ino),
-            );
+            let epoch = self.kernel.vfs.shared.fs.content_epoch(m.ino);
             let Some(digests) = self.registry.digests(&mut self.kernel.vfs, m.ino, &m.path) else {
                 return;
             };
             (m.content_digest, m.meta_digest) = digests;
-            fresh_keys.push(key);
+            fresh_epochs.push(epoch);
         }
         // Nothing below can fail: update the record in place.
-        let stamp = self.kernel.vfs.shared.fs.content_stamp();
         let state = &mut *self.state;
         let b = state.snap_built.get_or_insert_with(BuiltRecord::default);
-        for (i, digests, key) in redigested {
+        for (i, digests, epoch) in redigested {
             let m = &mut b.record.modules[i];
             (m.content_digest, m.meta_digest) = digests;
-            b.digest_keys[i] = key;
+            b.content_epochs[i] = epoch;
         }
-        for (m, key) in fresh.into_iter().zip(fresh_keys) {
+        for (m, epoch) in fresh.into_iter().zip(fresh_epochs) {
             match b.record.modules.binary_search_by(|p| p.name.cmp(&m.name)) {
                 Ok(i) => {
                     b.record.modules[i] = m;
-                    b.digest_keys[i] = key;
+                    b.content_epochs[i] = epoch;
                 }
                 Err(i) => {
                     b.record.modules.insert(i, m);
-                    b.digest_keys.insert(i, key);
+                    b.content_epochs.insert(i, epoch);
                 }
             }
         }
@@ -831,7 +855,6 @@ impl<'a> Ldl<'a> {
             b.record.warnings = state.snap_warnings.clone();
         }
         b.record.scope_hash = state.snap_scope;
-        b.record.stamp = stamp;
         b.record.image_tramp_used = state.image_tramp.2;
         b.name_epoch = name_epoch;
         state.snap_dirty.clear();
@@ -865,7 +888,6 @@ impl<'a> Ldl<'a> {
         }
         Some(crate::snapshot::PrelinkSnapshot {
             scope_hash: state.snap_scope,
-            stamp: self.kernel.vfs.shared.fs.content_stamp(),
             image_tramp_used: state.image_tramp.2,
             tramp_targets: state.snap_tramp_targets.clone(),
             image_patches: state.snap_image_patches.clone(),
@@ -1011,19 +1033,8 @@ impl<'a> Ldl<'a> {
             base: meta.base,
             module: Some(name.clone()),
         });
-        self.state.insert_module(ModuleInst {
-            name: name.clone(),
-            class,
-            base: meta.base,
-            total_len: meta.total_len,
-            export_index: ModuleInst::index_exports(&meta.exports),
-            exports: meta.exports.clone(),
-            pending: meta.pending.clone(),
-            search: meta.search.clone(),
-            lazy,
-            ino: Some(ino),
-            tramp: (meta.tramp_off, meta.tramp_cap, meta.tramp_used),
-        });
+        self.state
+            .insert_module(ModuleInst::from_meta(meta, class, lazy, Some(ino)));
         self.state.add_edge(&name, parent);
         Ok(name)
     }
@@ -1072,23 +1083,12 @@ impl<'a> Ldl<'a> {
                 name: obj.name.clone(),
             })?;
         let name = inst.meta.name.clone();
-        self.state.insert_module(ModuleInst {
-            name: name.clone(),
-            class: ShareClass::DynamicPrivate,
-            base,
-            total_len: layout.total_len,
-            export_index: ModuleInst::index_exports(&inst.meta.exports),
-            exports: inst.meta.exports.clone(),
-            pending: inst.meta.pending.clone(),
-            search: inst.meta.search.clone(),
+        self.state.insert_module(ModuleInst::from_meta(
+            inst.meta,
+            ShareClass::DynamicPrivate,
             lazy,
-            ino: None,
-            tramp: (
-                inst.meta.tramp_off,
-                inst.meta.tramp_cap,
-                inst.meta.tramp_used,
-            ),
-        });
+            None,
+        ));
         self.state.add_edge(&name, parent);
         Ok(name)
     }

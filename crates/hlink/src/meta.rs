@@ -22,6 +22,14 @@ pub const META_MAGIC: u32 = 0x4154_4D48; // "HMTA"
 /// Directory (on the root file system) holding metadata records.
 pub const META_DIR: &str = "/var/hemlock/meta";
 
+/// The CRC-32 trailer of a finished envelope: the checksum of its
+/// payload. Only for bytes `Writer::finish` produced or `Reader::open`
+/// accepted, which are never shorter than the trailer.
+fn trailer(envelope: &[u8]) -> u32 {
+    let t = &envelope[envelope.len() - 4..];
+    u32::from_le_bytes([t[0], t[1], t[2], t[3]])
+}
+
 /// Metadata describing one public module instance.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ModuleMeta {
@@ -159,14 +167,23 @@ impl ModuleMeta {
         })
     }
 
-    /// Persists the record for `ino`.
+    /// Deserializes a record together with its envelope trailer — the
+    /// CRC-32 of the payload, which decoding has just checked.
+    pub fn decode_with_crc(buf: &[u8]) -> Result<(ModuleMeta, u32), BinError> {
+        let meta = ModuleMeta::decode(buf)?;
+        Ok((meta, trailer(buf)))
+    }
+
+    /// Persists the record for `ino` and returns its envelope trailer.
     ///
     /// Crash-ordering fence: resolution patches the instance through
     /// mapped stores, whose dirt only reaches the journal lazily — but
     /// this record *describes* those bytes ("these references are
     /// resolved"). Sync the instance first, so no journal prefix can
     /// recover the metadata without the patches it vouches for.
-    pub fn save(&self, vfs: &mut Vfs, ino: Ino) -> Result<(), LinkError> {
+    pub fn save(&self, vfs: &mut Vfs, ino: Ino) -> Result<u32, LinkError> {
+        let bytes = self.encode();
+        let crc = trailer(&bytes);
         vfs.sync_shared_ino(ino);
         // The metadata record lives on the *root* file system, which is
         // a separate device from the shared partition — if the shared
@@ -176,17 +193,18 @@ impl ModuleMeta {
         // still runs on its page cache) but skip the durable record;
         // recovery then re-derives link state instead of trusting it.
         if vfs.shared_device_dead() {
-            return Ok(());
+            return Ok(crc);
         }
         vfs.mkdir_all(META_DIR, 0o777, 0)?;
-        vfs.write_file(&Self::path_for(ino), &self.encode(), 0o666, 0)?;
-        Ok(())
+        vfs.write_file(&Self::path_for(ino), &bytes, 0o666, 0)?;
+        Ok(crc)
     }
 
-    /// Loads the record for `ino`, if one exists and decodes.
-    pub fn load(vfs: &mut Vfs, ino: Ino) -> Option<ModuleMeta> {
+    /// Loads the record for `ino` and its envelope trailer, if one
+    /// exists and decodes.
+    pub fn load(vfs: &mut Vfs, ino: Ino) -> Option<(ModuleMeta, u32)> {
         let bytes = vfs.read_all(&Self::path_for(ino)).ok()?;
-        ModuleMeta::decode(&bytes).ok()
+        ModuleMeta::decode_with_crc(&bytes).ok()
     }
 
     /// Removes the record for `ino` (segment destroyed).
@@ -247,8 +265,10 @@ mod tests {
     fn save_load_remove_via_vfs() {
         let mut vfs = Vfs::new();
         let m = sample();
-        m.save(&mut vfs, 17).unwrap();
-        assert_eq!(ModuleMeta::load(&mut vfs, 17), Some(m));
+        let crc = m.save(&mut vfs, 17).unwrap();
+        let bytes = m.encode();
+        assert_eq!(crc, hobj::binfmt::crc32(&bytes[..bytes.len() - 4]));
+        assert_eq!(ModuleMeta::load(&mut vfs, 17), Some((m, crc)));
         assert_eq!(ModuleMeta::load(&mut vfs, 18), None);
         ModuleMeta::remove(&mut vfs, 17);
         assert_eq!(ModuleMeta::load(&mut vfs, 17), None);

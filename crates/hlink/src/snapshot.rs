@@ -4,48 +4,50 @@
 //! `SHARED_BASE + ino * SLOT_SIZE` in *every* protection domain and
 //! across *every* boot — means a resolved link map never goes stale by
 //! relocation. What can go stale is the *content* it was resolved
-//! against: a module rewritten, the scope configuration changed, a slot
-//! reassigned to a different file. So after each successful resolve the
-//! linker stages the whole link map (module instances, exports,
-//! remaining pendings, DAG edges, the image's own patch list and
-//! trampoline targets) as a versioned, checksummed record, and the
-//! embedder writes the staged record once per process lifetime (at exit,
-//! kill, barrier or clean halt) under [`hsfs::PRELINK_DIR_INNER`] on the
-//! shared partition, keyed by:
+//! against: a module rewritten, its metadata record replaced, the scope
+//! configuration changed, a slot reassigned to a different file. So
+//! after each successful resolve the linker stages what this process
+//! knows of its link map and the modules' metadata records do not
+//! (per module: path, inode, lazy bit, pendings and trampoline use as
+//! this process saw them, DAG parents; for the image: its patch list,
+//! trampoline targets, pendings and warnings) as a versioned,
+//! checksummed record, and the embedder writes the staged record once
+//! per process lifetime (at exit, kill, barrier or clean halt) under
+//! [`hsfs::PRELINK_DIR_INNER`] on the shared partition, keyed by:
 //!
 //! * the **scope hash** — a digest of the executable image, the runtime
 //!   `LD_LIBRARY_PATH`, and the working directory (everything that
 //!   steers scoped resolution);
-//! * the global [`hsfs::FileSystem::content_stamp`] at build time — the
-//!   fast-path validator: unchanged stamp ⇒ no shared file's bytes
-//!   changed ⇒ the snapshot is trivially current;
-//! * per-module **content digests** (CRC-32 of the instance file and of
-//!   its metadata record) — the slow-path validator that survives
-//!   reboots, where the stamp necessarily moves.
+//! * per-module **digests** — the CRC-32 of the instance file and the
+//!   envelope trailer of its metadata record (the CRC-32 of the
+//!   record's payload) — checked on every consult.
 //!
 //! A valid snapshot maps every recorded segment directly at its slot
-//! address and replays the image-owned patches — no export-index
-//! search, no trampoline synthesis, no registry metadata reads. The
-//! embedder prices the whole validation flat (`snapshot_validate_ns`)
-//! instead of per symbol, which is why all snapshot I/O runs under
-//! [`hsfs::Vfs::unpriced`]. Staleness or corruption yields a typed
-//! [`LinkError::BadSnapshot`]-class rejection, full resolution, and an
-//! atomic rebuild through the ordinary (journaled) write path — so
-//! crash-point enumeration and scrub/heal cover snapshot blocks for
-//! free, and a snapshot torn by a power cut simply fails its envelope
-//! checksum at the next boot.
+//! address, taking layout, exports and search information from the
+//! metadata records validation has just read, and replays the
+//! image-owned patches — no export-index search, no trampoline
+//! synthesis. The embedder prices the whole validation flat
+//! (`snapshot_validate_ns`) instead of per symbol, which is why all
+//! snapshot I/O runs under [`hsfs::Vfs::unpriced`]. Staleness or
+//! corruption yields a typed [`LinkError::BadSnapshot`]-class
+//! rejection, full resolution, and an atomic rebuild through the
+//! ordinary (journaled) write path — so crash-point enumeration and
+//! scrub/heal cover snapshot blocks for free, and a snapshot torn by a
+//! power cut simply fails its envelope checksum at the next boot.
 
 use crate::error::LinkError;
 use crate::meta::ModuleMeta;
 use hobj::binfmt::{crc32, reloc_kind_from, reloc_kind_tag, BinError, Reader, Writer};
-use hobj::{ImageReloc, LoadImage, RelocKind, SearchSpec, ShareClass};
+use hobj::{ImageReloc, LoadImage, RelocKind, ShareClass};
 use hsfs::vfs::Mount;
-use hsfs::{Ino, SharedFs, Vfs};
+use hsfs::{Ino, Vfs};
 
 /// Magic for prelink snapshot records ("HSNP").
 pub const SNAP_MAGIC: u32 = 0x504E_5348;
 
-/// One module instance's resolved link state.
+/// One module instance's resolved link state: only what the process
+/// knows and the module's metadata record does not. Layout, exports and
+/// search information are read from that record on a hit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapModule {
     /// Module name.
@@ -55,27 +57,21 @@ pub struct SnapModule {
     pub class: ShareClass,
     /// Unified-namespace path of the instance file.
     pub path: String,
-    /// Shared-partition inode backing the instance.
+    /// Shared-partition inode backing the instance (its slot address
+    /// follows from it).
     pub ino: Ino,
-    /// The slot address the instance was (and must still be) at.
-    pub base: u32,
-    /// Mapped length.
-    pub total_len: u32,
     /// Still awaiting its first touch (mapped without access).
     pub lazy: bool,
-    /// Trampoline area (offset, capacity, used) within the instance.
-    pub tramp: (u32, u32, u32),
-    /// Exported globals at absolute addresses.
-    pub exports: Vec<(String, u32)>,
-    /// Relocations still unresolved at snapshot time.
+    /// Trampoline bytes used, as this process saw them.
+    pub tramp_used: u32,
+    /// Relocations still unresolved, as this process saw them.
     pub pending: Vec<ImageReloc>,
-    /// The module's own scoped-linking search information.
-    pub search: SearchSpec,
     /// Link-DAG parents, in registration order.
     pub parents: Vec<String>,
     /// CRC-32 of the instance file's bytes at snapshot time.
     pub content_digest: u32,
-    /// CRC-32 of the metadata record's bytes at snapshot time.
+    /// The metadata record's envelope trailer (the CRC-32 of its
+    /// payload) at snapshot time.
     pub meta_digest: u32,
 }
 
@@ -85,9 +81,6 @@ pub struct PrelinkSnapshot {
     /// Digest of everything that steers resolution: the image itself,
     /// the runtime `LD_LIBRARY_PATH`, the working directory.
     pub scope_hash: u32,
-    /// Global shared-partition content stamp at build time (fast-path
-    /// validator; see module docs).
-    pub stamp: u64,
     /// `image_tramp.2` after the resolve (initial + replayed).
     pub image_tramp_used: u32,
     /// Targets of image-owned runtime trampolines, in allocation order
@@ -158,8 +151,6 @@ impl PrelinkSnapshot {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new(SNAP_MAGIC);
         w.u32(self.scope_hash);
-        w.u32((self.stamp >> 32) as u32);
-        w.u32(self.stamp as u32);
         w.u32(self.image_tramp_used);
         w.u32(self.tramp_targets.len() as u32);
         for t in &self.tramp_targets {
@@ -179,20 +170,9 @@ impl PrelinkSnapshot {
             w.u8(class_tag(m.class));
             w.str(&m.path);
             w.u32(m.ino);
-            w.u32(m.base);
-            w.u32(m.total_len);
             w.u8(m.lazy as u8);
-            w.u32(m.tramp.0);
-            w.u32(m.tramp.1);
-            w.u32(m.tramp.2);
-            w.u32(m.exports.len() as u32);
-            for (name, addr) in &m.exports {
-                w.str(name);
-                w.u32(*addr);
-            }
+            w.u32(m.tramp_used);
             put_relocs(&mut w, &m.pending);
-            w.str_list(&m.search.modules);
-            w.str_list(&m.search.dirs);
             w.str_list(&m.parents);
             w.u32(m.content_digest);
             w.u32(m.meta_digest);
@@ -205,7 +185,6 @@ impl PrelinkSnapshot {
     pub fn decode(buf: &[u8]) -> Result<PrelinkSnapshot, BinError> {
         let mut r = Reader::open(buf, SNAP_MAGIC)?;
         let scope_hash = r.u32()?;
-        let stamp = (u64::from(r.u32()?) << 32) | u64::from(r.u32()?);
         let image_tramp_used = r.u32()?;
         let ntramp = r.u32()? as usize;
         let mut tramp_targets = Vec::with_capacity(ntramp.min(65536));
@@ -229,22 +208,9 @@ impl PrelinkSnapshot {
             let class = class_from(r.u8()?)?;
             let path = r.str()?;
             let ino = r.u32()?;
-            let base = r.u32()?;
-            let total_len = r.u32()?;
             let lazy = r.u8()? != 0;
-            let tramp = (r.u32()?, r.u32()?, r.u32()?);
-            let nexp = r.u32()? as usize;
-            let mut exports = Vec::with_capacity(nexp.min(65536));
-            for _ in 0..nexp {
-                let n = r.str()?;
-                let a = r.u32()?;
-                exports.push((n, a));
-            }
+            let tramp_used = r.u32()?;
             let pending = get_relocs(&mut r)?;
-            let search = SearchSpec {
-                modules: r.str_list()?,
-                dirs: r.str_list()?,
-            };
             let parents = r.str_list()?;
             let content_digest = r.u32()?;
             let meta_digest = r.u32()?;
@@ -253,13 +219,9 @@ impl PrelinkSnapshot {
                 class,
                 path,
                 ino,
-                base,
-                total_len,
                 lazy,
-                tramp,
-                exports,
+                tramp_used,
                 pending,
-                search,
                 parents,
                 content_digest,
                 meta_digest,
@@ -268,7 +230,6 @@ impl PrelinkSnapshot {
         r.done()?;
         Ok(PrelinkSnapshot {
             scope_hash,
-            stamp,
             image_tramp_used,
             tramp_targets,
             image_patches,
@@ -278,23 +239,19 @@ impl PrelinkSnapshot {
         })
     }
 
-    /// Validates the snapshot against the current world. `Ok(())` means
-    /// every recorded segment is still the file it was, at the address
-    /// it was, with the bytes (and metadata) it was resolved against.
-    /// `Err` carries a human-readable staleness reason.
+    /// Validates the snapshot against the current world and returns
+    /// each module's metadata record, in `modules` order. `Ok` means
+    /// every recorded segment is still the file it was, with the bytes
+    /// and the metadata record it was resolved against. `Err` carries a
+    /// human-readable staleness reason.
     ///
     /// The caller prices this flat (`snapshot_validate_ns`) and wraps
     /// the call in [`Vfs::unpriced`].
-    pub fn validate(&self, vfs: &mut Vfs, scope_hash: u32) -> Result<(), String> {
+    pub fn validate(&self, vfs: &mut Vfs, scope_hash: u32) -> Result<Vec<ModuleMeta>, String> {
         if self.scope_hash != scope_hash {
             return Err("scope changed (image, LD_LIBRARY_PATH, or cwd)".into());
         }
-        // Fast path: the global content stamp has not moved since the
-        // snapshot was built, so no shared file's bytes have changed —
-        // the per-module digests cannot disagree.
-        if vfs.shared.fs.content_stamp() == self.stamp {
-            return Ok(());
-        }
+        let mut metas = Vec::with_capacity(self.modules.len());
         for m in &self.modules {
             let v = vfs
                 .resolve(&m.path)
@@ -302,23 +259,25 @@ impl PrelinkSnapshot {
             if v.mount != Mount::Shared || v.ino != m.ino {
                 return Err(format!("module `{}`: address reassigned", m.name));
             }
-            if SharedFs::addr_of_ino(v.ino) != m.base {
-                return Err(format!("module `{}`: slot address moved", m.name));
-            }
             let bytes = vfs
                 .read_all(&m.path)
                 .map_err(|_| format!("module `{}`: instance unreadable", m.name))?;
             if crc32(&bytes) != m.content_digest {
                 return Err(format!("module `{}`: content rewritten", m.name));
             }
-            let meta = vfs
+            let raw = vfs
                 .read_all(&ModuleMeta::path_for(m.ino))
                 .map_err(|_| format!("module `{}`: metadata vanished", m.name))?;
-            if crc32(&meta) != m.meta_digest {
+            // Decoding checks the trailer against the payload, so the
+            // trailer alone stands for the record's bytes.
+            let (meta, crc) = ModuleMeta::decode_with_crc(&raw)
+                .map_err(|_| format!("module `{}`: metadata corrupt", m.name))?;
+            if crc != m.meta_digest {
                 return Err(format!("module `{}`: metadata changed", m.name));
             }
+            metas.push(meta);
         }
-        Ok(())
+        Ok(metas)
     }
 }
 
@@ -431,7 +390,6 @@ mod tests {
     fn sample() -> PrelinkSnapshot {
         PrelinkSnapshot {
             scope_hash: 0xDEAD_BEEF,
-            stamp: 0x1_0000_0002,
             image_tramp_used: 24,
             tramp_targets: vec![0x3010_0000],
             image_patches: vec![(0x0040_0010, RelocKind::Word32, 0x3010_0004)],
@@ -447,16 +405,9 @@ mod tests {
                 class: ShareClass::DynamicPublic,
                 path: "/shared/lib/mod7".into(),
                 ino: 7,
-                base: 0x3070_0000,
-                total_len: 0x1000,
                 lazy: false,
-                tramp: (0x100, 48, 12),
-                exports: vec![("f7".into(), 0x3070_0000)],
+                tramp_used: 12,
                 pending: vec![],
-                search: SearchSpec {
-                    modules: vec!["mod8".into()],
-                    dirs: vec!["/shared/lib".into()],
-                },
                 parents: vec!["<main>".into()],
                 content_digest: 0x1234_5678,
                 meta_digest: 0x8765_4321,

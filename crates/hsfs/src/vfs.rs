@@ -121,9 +121,8 @@ impl Vfs {
         self.shared.addr_lookups = lookups;
         self.shared.addr_probe_steps = probes;
         // Cache writes are not content changes: nothing mapped or
-        // executed can depend on snapshot bytes, so change-tracking
-        // consumers (bbcache epochs, snapshot fast-path validation)
-        // must not see the stamp move.
+        // executed can depend on snapshot bytes, so the stamp's one
+        // consumer, the bbcache's epoch check, must not see it move.
         self.shared.fs.restore_content_stamp(stamp);
         r
     }

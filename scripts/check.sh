@@ -24,6 +24,9 @@ cargo test -q --release --test e14_integrity
 echo "==> prelink snapshots (e15: identity, staleness, crash sweep)"
 cargo test -q --release --test e15_snapshot
 
+echo "==> perfbench (a package of its own: builds against the workspace crates, unit tests)"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -20,7 +20,9 @@
 //!    consoles, zero symbols resolved, strictly less simulated time
 //!    than the snapshots-off twin; and a *stale* snapshot (module bytes
 //!    changed underneath it) costs exactly `snapshot_validate_ns` more
-//!    than never having had one.
+//!    than never having had one. A hit's link map equals the storing
+//!    process's, and a metadata record replaced over unchanged bytes
+//!    invalidates the snapshot too.
 //! 3. **Counters reconcile**: each `LdlStats` snapshot counter folded
 //!    into `WorldStats` equals the count of its `htrace` record kind.
 //! 4. **Corruption never panics**: any stomped byte, truncation, or
@@ -34,7 +36,7 @@
 //!    the same recovery with snapshots disabled — hits only when the
 //!    record and every module it describes committed coherently.
 //! 6. **One write per lifetime**: each resolve only *stages* the record
-//!    (digests and stamp as of that link); it is written once, at exit,
+//!    (digests as of that link); it is written once, at exit,
 //!    kill, barrier or clean halt. A cold lazy chain writes exactly one
 //!    record, unpriced I/O grows linearly in the chain length, a fork
 //!    child that links nothing writes nothing, and a power cut before
@@ -681,24 +683,8 @@ fn cold_chain_lifetime_writes_its_snapshot_once() {
     for m in &snap.modules {
         let live = &state.modules[&m.name];
         assert_eq!(
-            (
-                m.base,
-                m.total_len,
-                m.lazy,
-                m.tramp,
-                &m.exports,
-                &m.pending,
-                &m.search
-            ),
-            (
-                live.base,
-                live.total_len,
-                live.lazy,
-                live.tramp,
-                &live.exports,
-                &live.pending,
-                &live.search
-            ),
+            (m.class, Some(m.ino), m.lazy, m.tramp_used, &m.pending),
+            (live.class, live.ino, live.lazy, live.tramp.2, &live.pending),
             "{}",
             m.name
         );
@@ -706,10 +692,111 @@ fn cold_chain_lifetime_writes_its_snapshot_once() {
         let bytes = world.kernel.vfs.read_all(&m.path).unwrap();
         assert_eq!(m.content_digest, hobj::binfmt::crc32(&bytes), "{}", m.name);
     }
-    // And the record is coherent: the next boot hits and runs right.
+    // And the record is coherent: the next boot hits, and right after
+    // the hit's init its link map is the storing process's final one,
+    // field by field, though the record holds no layout, exports or
+    // search information of its own.
     world.reboot();
-    assert_eq!(run_prog(&mut world, &exe), N as i32 - 1);
+    let pid = world.spawn(&exe).unwrap();
+    while world.ldl_stats(pid).map_or(0, |s| s.init_links) == 0 {
+        assert_eq!(world.run(1), WorldExit::StepLimit, "log: {:?}", world.log);
+    }
+    assert_eq!(world.ldl_stats(pid).unwrap().snapshot_hits, 1);
+    let hit = world.link_state(pid).unwrap();
+    assert_eq!(hit.modules.len(), state.modules.len());
+    for (name, cold) in &state.modules {
+        let warm = &hit.modules[name];
+        assert_eq!(
+            (
+                warm.base,
+                warm.total_len,
+                warm.tramp,
+                &warm.exports,
+                &warm.search,
+                &warm.pending,
+                warm.lazy,
+                warm.class,
+                warm.ino
+            ),
+            (
+                cold.base,
+                cold.total_len,
+                cold.tramp,
+                &cold.exports,
+                &cold.search,
+                &cold.pending,
+                cold.lazy,
+                cold.class,
+                cold.ino
+            ),
+            "{name}"
+        );
+        assert_eq!(
+            hit.dag.parents_of(name),
+            state.dag.parents_of(name),
+            "{name}"
+        );
+    }
+    assert_eq!(world.run(RUN_SLICES), WorldExit::AllExited);
+    assert_eq!(world.exit_code(pid), Some(N as i32 - 1));
     assert_eq!(world.stats().snapshot_hits, 1);
+}
+
+/// A module's metadata record replaced between boots over unchanged
+/// module bytes (here: an extra export). The record's digest is the
+/// metadata envelope's own trailer, so the next boot rejects the
+/// snapshot and names the record — it never hits, which would map the
+/// module with exports it was not resolved against — and the full
+/// resolve that follows still computes the right answer.
+#[test]
+fn metadata_replaced_between_boots_invalidates_never_hits() {
+    let mut world = traced_world();
+    let exe = build_chain(&mut world);
+    assert_eq!(run_prog(&mut world, &exe), CHAIN_ANSWER);
+    assert_eq!(world.stats().snapshot_rebuilds, 1);
+    let content = world.kernel.vfs.read_all("/shared/lib/lib2").unwrap();
+    let ino = world.kernel.vfs.resolve("/shared/lib/lib2").unwrap().ino;
+    let mut meta = world
+        .registry
+        .get(&mut world.kernel.vfs, ino)
+        .unwrap()
+        .clone();
+    meta.exports.push(("f2_alias".into(), meta.base));
+    world
+        .registry
+        .put(&mut world.kernel.vfs, ino, meta)
+        .unwrap();
+    assert_eq!(
+        world.kernel.vfs.read_all("/shared/lib/lib2").unwrap(),
+        content,
+        "only the metadata record changed"
+    );
+    world.reboot();
+    let before = world.stats();
+    assert_eq!(
+        run_prog(&mut world, &exe),
+        CHAIN_ANSWER,
+        "log: {:?}",
+        world.log
+    );
+    let s = world.stats();
+    assert_eq!(s.snapshot_hits, before.snapshot_hits, "{s:?}");
+    assert_eq!(
+        s.snapshot_invalidations,
+        before.snapshot_invalidations + 1,
+        "{s:?}"
+    );
+    let why: Vec<String> = world
+        .trace()
+        .records()
+        .filter(|r| r.event.kind() == "SnapshotInvalidated")
+        .map(|r| r.event.to_string())
+        .collect();
+    assert_eq!(why.len(), 1);
+    assert!(
+        why[0].contains("module `lib2`: metadata changed"),
+        "{why:?}"
+    );
 }
 
 /// Unpriced snapshot I/O per module stays flat as the chain grows:
@@ -1227,9 +1314,9 @@ host_add:
         .expect("record written at exit");
     let cb = snap.modules.iter().find(|m| m.name == "cb").unwrap();
     assert!(
-        cb.tramp.2 > 0,
-        "cb's own area holds the trampoline: {:?}",
-        cb.tramp
+        cb.tramp_used > 0,
+        "cb's own area holds the trampoline: {}",
+        cb.tramp_used
     );
 
     // An image whose init stages nothing but a warning: its one
