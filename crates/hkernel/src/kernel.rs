@@ -897,16 +897,22 @@ impl Kernel {
     /// without incident).
     fn run_slice_counted(&mut self, pid: Pid, budget: u64, cpu: u32) -> (u64, Option<RunEvent>) {
         let mut steps = 0u64;
-        // One-entry dispatch memo: `(entry_pc, mutation_stamp, code)`
-        // from the last `bb_block` call. A tight guest loop re-enters
-        // the same block every iteration; while the cache's mutation
-        // stamp stands still, `lookup` would provably return this same
-        // `Arc`, so we skip the map walk and only account the hit. The
-        // memo lives strictly within this slice (no other process runs
-        // mid-slice) and is dropped on any non-retiring outcome —
-        // syscalls and faults can mutate mappings and files without
-        // touching this address space's stamp.
-        let mut memo: Option<(u32, u64, Arc<[Instr]>)> = None;
+        // Two-entry dispatch memo of `MemoEntry`s from recent
+        // `bb_block` calls, most recent first. A guest loop
+        // re-enters the same one or two blocks every iteration (rwho's
+        // reader: `loop: slt; beq` and its body); while the cache's
+        // mutation stamp stands still, `lookup` would provably return
+        // the same `Arc`, so we skip the map walk, account the hit and
+        // run the block from a reference into the memo. A build bumps
+        // the stamp, so the other entry goes stale and is re-stamped by
+        // its next `bb_block`; after one iteration both entries hold the
+        // same stamp. The memo lives strictly within this slice (no
+        // other process runs mid-slice) and is cleared on any
+        // non-retiring outcome — syscalls and faults can mutate
+        // mappings and files without touching this address space's
+        // stamp.
+        type MemoEntry = Option<(u32, u64, Arc<[Instr]>)>; // (entry_pc, mutation_stamp, code)
+        let mut memo: [MemoEntry; 2] = [None, None];
         while steps < budget {
             let (block_ran, outcome) = {
                 let proc = match self.procs.get_mut(&pid) {
@@ -932,9 +938,10 @@ impl Kernel {
                 // the next lookup *inside this same borrow*: the
                 // per-dispatch proc/bus setup is paid once per chain,
                 // not once per block (call-heavy code averages a
-                // handful of instructions per block). `fetch_check`
-                // re-stamps the access context every instruction, so
-                // attribution follows the chain. State transitions
+                // handful of instructions per block). `fetch_check` (at
+                // block entry) and `fetch_recheck` (for the rest of the
+                // block) re-stamp the access context every instruction,
+                // so attribution follows the chain. State transitions
                 // only happen inside syscalls, which terminate blocks
                 // and end the chain, so the Runnable check above holds
                 // for every instruction the chain retires. `None` from
@@ -946,13 +953,16 @@ impl Kernel {
                         break None;
                     }
                     let pc = proc.cpu.pc;
-                    let memo_code = memo.as_ref().and_then(|(mpc, stamp, code)| {
-                        (*mpc == pc && *stamp == bus.bb_stamp()).then(|| code.clone())
+                    let stamp = bus.bb_stamp();
+                    let hit = memo.iter().position(|entry| {
+                        entry
+                            .as_ref()
+                            .is_some_and(|(mpc, mstamp, _)| *mpc == pc && *mstamp == stamp)
                     });
-                    let (n, out) = match memo_code {
-                        Some(code) => {
+                    match hit {
+                        Some(i) => {
                             bus.bb_count_hit();
-                            proc.cpu.run_block(&mut bus, &code, budget - steps - ran)
+                            memo.swap(0, i);
                         }
                         None => match bus.bb_block(pc) {
                             Some(code) => {
@@ -960,13 +970,20 @@ impl Kernel {
                                 // triggered by the block's own stores
                                 // (store-to-exec) must invalidate the
                                 // memo, and re-stamping afterwards
-                                // would hide it.
-                                memo = Some((pc, bus.bb_stamp(), code.clone()));
-                                proc.cpu.run_block(&mut bus, &code, budget - steps - ran)
+                                // would hide it. A stale entry for the
+                                // same pc is overwritten, never kept.
+                                if memo[0].as_ref().map(|(mpc, ..)| *mpc) != Some(pc) {
+                                    memo[1] = memo[0].take();
+                                }
+                                memo[0] = Some((pc, bus.bb_stamp(), code));
                             }
                             None => break Some(proc.cpu.step(&mut bus)),
                         },
-                    };
+                    }
+                    // invariant: both arms above leave the block to run
+                    // in the front entry.
+                    let (_, _, code) = memo[0].as_ref().expect("memo front was just filled");
+                    let (n, out) = proc.cpu.run_block(&mut bus, code, budget - steps - ran);
                     ran += n;
                     if out.is_some() {
                         break out;
@@ -981,7 +998,7 @@ impl Kernel {
             };
             // Any outcome other than plain block completion can change
             // mappings or file contents out from under the memo.
-            memo = None;
+            memo = [None, None];
             match outcome {
                 StepOutcome::Retired => {
                     steps += 1;

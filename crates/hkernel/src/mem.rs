@@ -1637,7 +1637,8 @@ impl MemBus<'_> {
     /// The build peeks at resident bytes without side effects: no TLB
     /// traffic, no reference bits, no chaos decisions, no fs stats —
     /// those all happen (identically to the slow path) when the block
-    /// executes through [`hvm::Bus::fetch_check`].
+    /// executes through [`hvm::Bus::fetch_check`] and
+    /// [`hvm::Bus::fetch_recheck`].
     pub fn bb_block(&mut self, pc: u32) -> Option<Arc<[Instr]>> {
         let MemBus { aspace, shared, .. } = self;
         if !aspace.bb.enabled() || !pc.is_multiple_of(4) {
@@ -1721,6 +1722,22 @@ impl Bus for MemBus<'_> {
     /// stays per-instruction inside a block.
     fn fetch_check(&mut self, addr: u32) -> Result<(), Fault> {
         self.ctx.pc = addr;
+        self.translate(addr, Access::Exec).map(|_| ())
+    }
+    /// The rest of a block on the same page as its entry fetch: a TLB
+    /// tag hit is the whole translation. The entry's `fetch_check`
+    /// left the page resident, executable and referenced; mid-slice,
+    /// protection changes only in syscalls (which end blocks) and
+    /// reference bits are cleared only by the clock scan between
+    /// slices, so only the hit is left to count. A tag miss (a data
+    /// access in the block evicted the code page's entry) takes the
+    /// full `translate`, exactly as `fetch_check` would.
+    fn fetch_recheck(&mut self, addr: u32) -> Result<(), Fault> {
+        self.ctx.pc = addr;
+        if self.aspace.tlb_cached(addr) {
+            self.aspace.stats.tlb_hits += 1;
+            return Ok(());
+        }
         self.translate(addr, Access::Exec).map(|_| ())
     }
     fn text_epoch(&mut self) -> u64 {

@@ -7,8 +7,9 @@
 //! [`Instr`] runs ("basic blocks"): decoded once, executed many times via
 //! [`crate::Cpu::run_block`], which replays the *exact* per-instruction
 //! semantics (translation, protection, residency, monitor visibility)
-//! through [`crate::Bus::fetch_check`] while skipping the byte fetch and
-//! decode.
+//! through [`crate::Bus::fetch_check`] at block entry and
+//! [`crate::Bus::fetch_recheck`] for the rest of the block, while
+//! skipping the byte fetch and decode.
 //!
 //! The cache is owned by whoever owns the address space (in Hemlock, one
 //! per `AddressSpace`, so the `asid` tag is implicit in ownership and
@@ -220,8 +221,8 @@ pub struct BbCache {
     /// Entry PCs per shared source `(ino, file_page)`.
     src_pages: FastMap<(u32, u32), Vec<u32>>,
     /// Bumped by every operation that could change what `lookup` would
-    /// return for *any* pc — the dispatcher's one-entry memo is valid
-    /// only while this stands still (see [`BbCache::mutation_stamp`]).
+    /// return for *any* pc — each entry of the dispatcher's two-entry
+    /// memo is valid only while this stands still (see [`BbCache::mutation_stamp`]).
     mutation: u64,
     /// Direct-mapped dispatch front-end over `blocks`. Call-heavy guest
     /// code cycles through many short blocks; re-dispatching each one

@@ -36,8 +36,22 @@ pub trait Bus {
     /// returning the bytes — the block-cache fast path, where the word
     /// was already decoded. Must be observably identical to
     /// [`Bus::fetch`] minus the data. The default is exactly that.
+    /// [`Cpu::run_block`] calls it once, for a block's first
+    /// instruction; the rest of the block goes through
+    /// [`Bus::fetch_recheck`].
     fn fetch_check(&mut self, addr: u32) -> Result<(), Fault> {
         self.fetch(addr).map(|_| ())
+    }
+
+    /// [`Bus::fetch_check`] for an instruction after the first of a
+    /// cached block, whose entry fetch at `addr`'s page already
+    /// succeeded. A bus may skip whatever that fetch proved and nothing
+    /// since can have undone — a block never crosses a page, and
+    /// protection changes only in syscalls, which end blocks — but must
+    /// stay observably identical to `fetch_check`. The default is
+    /// exactly that.
+    fn fetch_recheck(&mut self, addr: u32) -> Result<(), Fault> {
+        self.fetch_check(addr)
     }
 
     /// A stamp that moves whenever a store through this bus could have
@@ -147,11 +161,11 @@ impl Cpu {
     ///
     /// Per instruction this replays the slow path in order: budget
     /// check, [`Bus::text_epoch`] check (abort if a store invalidated
-    /// the text under us — PC is correct, nothing is lost),
-    /// [`Bus::fetch_check`] (every fetch side effect except the bytes),
-    /// then [`Cpu::execute`]. A fault leaves PC at the faulting
-    /// instruction; `Syscall`/`Break` have already advanced it —
-    /// identical to `step`.
+    /// the text under us — PC is correct, nothing is lost), the fetch's
+    /// side effects without the bytes ([`Bus::fetch_check`] for the
+    /// first instruction, [`Bus::fetch_recheck`] for the rest), then
+    /// [`Cpu::execute`]. A fault leaves PC at the faulting instruction;
+    /// `Syscall`/`Break` have already advanced it — identical to `step`.
     pub fn run_block<B: Bus>(
         &mut self,
         bus: &mut B,
@@ -167,7 +181,12 @@ impl Cpu {
             if bus.text_epoch() != epoch {
                 return (ran, None);
             }
-            if let Err(fault) = bus.fetch_check(self.pc) {
+            let fetched = if ran == 0 {
+                bus.fetch_check(self.pc)
+            } else {
+                bus.fetch_recheck(self.pc)
+            };
+            if let Err(fault) = fetched {
                 return (ran, Some(StepOutcome::Fault(fault)));
             }
             match self.execute(*instr, bus) {

@@ -15,6 +15,9 @@ echo "==> sanitizer suite (hsan unit + e9 differential/property harness)"
 cargo test -q --release -p hsan
 cargo test -q --release --test e9_sanitizer
 
+echo "==> block-cache identity (e12: cache on == cache off, release build as perfbench measures)"
+cargo test -q --release --test e12_bbcache
+
 echo "==> crash-point exhaustion (e13: every disk-write index, torn and clean)"
 cargo test -q --release --test e13_crash
 

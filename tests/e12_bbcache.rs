@@ -22,18 +22,24 @@
 //!    every load and store whether or not decode was skipped.
 //! 3. **Invalidation edges**: a guest store into a cached executable
 //!    page aborts the in-flight block (self-modifying code executes the
-//!    *new* bytes), clock eviction under SMP pressure drops the victim's
-//!    blocks, fork flushes the parent and starts the child cold, and a
-//!    generation-counter wraparound flushes rather than ABA-matching.
-//! 4. **Pinning**: a block never outlives a text-epoch movement — the
-//!    partial run retires exactly the instructions that executed and
-//!    hands control back to the dispatch loop.
+//!    *new* bytes), a store into the other block of the two-entry
+//!    dispatch memo runs the new bytes, clock eviction under SMP
+//!    pressure drops the victim's blocks, fork flushes the parent and
+//!    starts the child cold, and a generation-counter wraparound
+//!    flushes rather than ABA-matching.
+//! 4. **Pinning and per-block translation**: a block never outlives a
+//!    text-epoch movement — the partial run retires exactly the
+//!    instructions that executed and hands control back to the dispatch
+//!    loop. A block is translated fully once, at entry; later
+//!    instructions re-check the TLB tag, and a data access that evicts
+//!    the code page's entry mid-block costs the same TLB misses as
+//!    per-instruction translation.
 
 use bench::fixtures::{
     self, build_pressure_world, calibrated_half_budget, env_switch_on, run_counter, Replay,
     COUNTER_ELIDED, WORKERS,
 };
-use hemlock::{FaultPlan, FaultSite, ShareClass, World, WorldExit};
+use hemlock::{FaultPlan, FaultSite, ShareClass, World, WorldExit, WorldStats};
 use proptest::prelude::*;
 
 /// Runs the pressure scenario with the cache on or off and captures
@@ -51,12 +57,40 @@ fn run_cached(
     let (obs, world) = fixtures::run_pressured(WORKERS, quantum, cpus, budget, plan, |w| {
         w.set_bbcache(cache)
     });
-    let replay = Replay::capture(obs, &world, &["BlockInvalidated"], |s| {
-        s.bblocks_built = 0;
-        s.bblock_hits = 0;
-        s.bblock_invalidations = 0;
-    });
+    let replay = Replay::capture(obs, &world, &["BlockInvalidated"], mask_bblocks);
     (replay, world)
+}
+
+/// Zeroes the three `bblock` counters: the only `WorldStats` fields a
+/// cache-on run may differ in from its cache-off twin.
+fn mask_bblocks(s: &mut WorldStats) {
+    s.bblocks_built = 0;
+    s.bblock_hits = 0;
+    s.bblock_invalidations = 0;
+}
+
+/// Installs `modules` (`(path, source, class)`, the first holding
+/// `main`), links them into one program and runs it to completion with
+/// the cache on or off. Returns the exit code and the finished world.
+fn run_program(cache: bool, modules: &[(&str, &str, ShareClass)]) -> (Option<i32>, World) {
+    let mut world = World::new();
+    world.set_bbcache(cache);
+    for (path, source, _) in modules {
+        world.install_template(path, source).unwrap();
+    }
+    let parts: Vec<(&str, ShareClass)> = modules.iter().map(|(p, _, c)| (*p, *c)).collect();
+    let exe = world.link("/bin/prog", &parts).unwrap();
+    let pid = world.spawn(&exe).unwrap();
+    assert_eq!(world.run_to_completion(), WorldExit::AllExited);
+    (world.exit_code(pid), world)
+}
+
+/// What a cache-off twin must reproduce of a finished world: the
+/// simulated clock and every `WorldStats` field but the `bblock` ones.
+fn cache_blind_stats(world: &World) -> (u64, String) {
+    let mut stats = world.stats();
+    mask_bblocks(&mut stats);
+    (bench::sim_time(world).0, format!("{stats:?}"))
 }
 
 fn trace_cause_count(world: &World, cause: &str) -> u64 {
@@ -179,24 +213,17 @@ main:   addi sp, sp, -8
         jr   ra
 "#;
     let run = |cache: bool| {
-        let mut world = World::new();
-        world.set_bbcache(cache);
-        world
-            .install_template("/shared/lib/patchmod.o", PATCHMOD)
-            .unwrap();
-        world.install_template("/src/main.o", MAIN).unwrap();
-        let exe = world
-            .link(
-                "/bin/smc",
-                &[
-                    ("/src/main.o", ShareClass::StaticPrivate),
-                    ("/shared/lib/patchmod.o", ShareClass::DynamicPublic),
-                ],
-            )
-            .unwrap();
-        let pid = world.spawn(&exe).unwrap();
-        assert_eq!(world.run_to_completion(), WorldExit::AllExited);
-        (world.exit_code(pid), world)
+        run_program(
+            cache,
+            &[
+                ("/src/main.o", MAIN, ShareClass::StaticPrivate),
+                (
+                    "/shared/lib/patchmod.o",
+                    PATCHMOD,
+                    ShareClass::DynamicPublic,
+                ),
+            ],
+        )
     };
     let (on_code, on_world) = run(true);
     let (off_code, _) = run(false);
@@ -209,6 +236,131 @@ main:   addi sp, sp, -8
         on_world.trace_dump()
     );
     assert!(on_world.kernel.bb_stats().invalidations > 0);
+}
+
+/// The dispatch memo holds two blocks, and a block may store into the
+/// other one's text. Here the loop body rewrites the `addi` at `patch`
+/// with this iteration's counter, so the store moves the cache's stamp
+/// every iteration while `patch`'s old block is still in the memo. The
+/// rewritten bytes must run each time (exit 9+8+…+0 = 45, as with the
+/// cache off); a memo entry that outlived the stamp would replay the
+/// first decode (9 ten times).
+#[test]
+fn store_into_the_other_memoized_block_runs_the_new_bytes() {
+    const LOOPMOD: &str = r#"
+.module loopmod
+.text
+.globl func
+func:   li   r16, 10
+        li   v0, 0
+        la   r9, patch
+        la   r11, donor
+        lw   r11, 0(r11)    ; `addi v0, v0, 0`
+body:   addi r16, r16, -1
+        add  r10, r11, r16
+        sw   r10, 0(r9)     ; patch becomes `addi v0, v0, r16`
+patch:  addi v0, v0, 0
+        bgtz r16, body
+        jr   ra
+donor:  addi v0, v0, 0
+"#;
+    const MAIN: &str = r#"
+.module main
+.text
+.globl main
+main:   addi sp, sp, -8
+        sw   ra, 0(sp)
+        jal  func
+        lw   ra, 0(sp)
+        addi sp, sp, 8
+        jr   ra
+"#;
+    let run = |cache: bool| {
+        run_program(
+            cache,
+            &[
+                ("/src/main.o", MAIN, ShareClass::StaticPrivate),
+                ("/shared/lib/loopmod.o", LOOPMOD, ShareClass::DynamicPublic),
+            ],
+        )
+    };
+    let (on_code, on_world) = run(true);
+    let (off_code, off_world) = run(false);
+    assert_eq!(off_code, Some(45), "reference semantics: every patch runs");
+    assert_eq!(on_code, off_code, "cached run replayed a stale decode");
+    assert_eq!(cache_blind_stats(&on_world), cache_blind_stats(&off_world));
+    assert!(trace_cause_count(&on_world, "store-exec") >= 10);
+}
+
+/// Per-block translation stays exact when the block's own data access
+/// evicts its code page's TLB entry. The sweep loads twice from each of
+/// 64 consecutive stack pages in one 64-aligned group; the TLB's folded
+/// index gives every page of such a group its own entry, so exactly one
+/// page shares the loop's code entry. On that page the first load evicts
+/// the code entry, the re-check of the next instruction misses and
+/// refills it, the second load misses again, and so does the re-check
+/// after it. A second pass over pages that are now resident pays exactly
+/// those four misses, three of them mid-block. A re-check that counted
+/// a hit without testing the tag would leave the data entry in place
+/// and differ from the cache-off run.
+#[test]
+fn data_access_evicting_the_code_page_entry_mid_block_matches_cache_off() {
+    // The sweep's group size (`lui 0xFFFC` masks to 256 KB) is one page
+    // per TLB entry.
+    assert_eq!(hkernel::mem::TLB_ENTRIES, 64);
+    let sweep = |passes: u32| {
+        format!(
+            r#"
+.module main
+.text
+.globl main
+main:   li   r17, {passes}
+        lui  r18, 0xFFFC
+        and  r18, sp, r18       ; sp's 64-page group
+        lui  r19, 4
+        sub  r18, r18, r19      ; the group below it
+        li   r20, 4096
+pass:   move r8, r18
+        li   r16, 64
+sweep:  lw   r9, 0(r8)
+        addi r10, r10, 1
+        lw   r9, 0(r8)
+        addi r10, r10, 1
+        add  r8, r8, r20
+        addi r16, r16, -1
+        bgtz r16, sweep
+        addi r17, r17, -1
+        bgtz r17, pass
+        li   v0, 0
+        jr   ra
+"#
+        )
+    };
+    let run = |cache: bool, passes: u32| {
+        let (code, world) = run_program(
+            cache,
+            &[("/src/main.o", &sweep(passes), ShareClass::StaticPrivate)],
+        );
+        assert_eq!(code, Some(0));
+        world
+    };
+    let mut misses = Vec::new();
+    for passes in [1, 2] {
+        let on = run(true, passes);
+        let off = run(false, passes);
+        assert_eq!(
+            cache_blind_stats(&on),
+            cache_blind_stats(&off),
+            "{passes} pass(es)"
+        );
+        assert!(on.kernel.bb_stats().hits > 0, "fast path must run");
+        misses.push(on.stats().tlb_misses);
+    }
+    assert_eq!(
+        misses[1] - misses[0],
+        4,
+        "the second pass misses only on the page sharing the code entry"
+    );
 }
 
 /// Clock eviction under SMP pressure: the reclaim (running on the boot
@@ -313,6 +465,108 @@ sw r8, 256(r0)\naddi r8, r8, 1\naddi r8, r8, 1\njr ra\n";
     assert_eq!((ran2, outcome2), (3, None), "2 addis + the retiring jr");
 }
 
+/// `run_block` translates once per block: one full `fetch_check` for
+/// the first instruction and a `fetch_recheck` for each later one. A
+/// fault raised by a re-check is precise: `pc` stays on the faulting
+/// instruction and exactly the instructions before it retire.
+#[test]
+fn run_block_fetch_checks_once_and_rechecks_the_rest() {
+    use hvm::{Access, Bus, Cpu, Fault, Reg, StepOutcome};
+
+    /// 64 KB flat memory that logs each fetch hook's addresses and
+    /// fails the re-check at `fault_at`.
+    struct CheckBus {
+        mem: Vec<u8>,
+        checks: Vec<u32>,
+        rechecks: Vec<u32>,
+        fault_at: Option<u32>,
+    }
+    impl Bus for CheckBus {
+        fn fetch(&mut self, addr: u32) -> Result<u32, Fault> {
+            self.load32(addr)
+        }
+        fn load8(&mut self, addr: u32) -> Result<u8, Fault> {
+            Ok(self.mem[addr as usize])
+        }
+        fn load16(&mut self, addr: u32) -> Result<u16, Fault> {
+            let a = addr as usize;
+            Ok(u16::from_le_bytes(self.mem[a..a + 2].try_into().unwrap()))
+        }
+        fn load32(&mut self, addr: u32) -> Result<u32, Fault> {
+            let a = addr as usize;
+            Ok(u32::from_le_bytes(self.mem[a..a + 4].try_into().unwrap()))
+        }
+        fn store8(&mut self, addr: u32, val: u8) -> Result<(), Fault> {
+            self.mem[addr as usize] = val;
+            Ok(())
+        }
+        fn store16(&mut self, addr: u32, val: u16) -> Result<(), Fault> {
+            self.mem[addr as usize..addr as usize + 2].copy_from_slice(&val.to_le_bytes());
+            Ok(())
+        }
+        fn store32(&mut self, addr: u32, val: u32) -> Result<(), Fault> {
+            self.mem[addr as usize..addr as usize + 4].copy_from_slice(&val.to_le_bytes());
+            Ok(())
+        }
+        fn fetch_check(&mut self, addr: u32) -> Result<(), Fault> {
+            self.checks.push(addr);
+            Ok(())
+        }
+        fn fetch_recheck(&mut self, addr: u32) -> Result<(), Fault> {
+            self.rechecks.push(addr);
+            match self.fault_at {
+                Some(at) if at == addr => Err(Fault::Protection {
+                    addr,
+                    access: Access::Exec,
+                }),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    let asm = "\
+.module t\n.text\n.globl main\n\
+main: addi r8, r8, 1\naddi r8, r8, 1\naddi r8, r8, 1\naddi r8, r8, 1\njr ra\n";
+    let obj = hobj::hasm::assemble("t", asm).unwrap();
+    let code = hvm::bbcache::decode_run(&obj.text);
+    assert_eq!(code.len(), 5);
+    let run = |fault_at: Option<u32>| {
+        let mut bus = CheckBus {
+            mem: vec![0u8; 1 << 16],
+            checks: Vec::new(),
+            rechecks: Vec::new(),
+            fault_at,
+        };
+        bus.mem[..obj.text.len()].copy_from_slice(&obj.text);
+        let mut cpu = Cpu::new();
+        let result = cpu.run_block(&mut bus, &code, 1_000);
+        (result, cpu, bus)
+    };
+
+    let ((ran, outcome), _, bus) = run(None);
+    assert_eq!((ran, outcome), (5, None), "the whole block retires");
+    assert_eq!(bus.checks, [0], "one full fetch check, at block entry");
+    assert_eq!(
+        bus.rechecks,
+        [4, 8, 12, 16],
+        "a re-check per later instruction"
+    );
+
+    let ((ran, outcome), cpu, bus) = run(Some(8));
+    let fault = Fault::Protection {
+        addr: 8,
+        access: Access::Exec,
+    };
+    assert_eq!(outcome, Some(StepOutcome::Fault(fault)));
+    assert_eq!(
+        ran, 2,
+        "exactly the two instructions before the fault retire"
+    );
+    assert_eq!(cpu.pc, 8, "pc stays on the faulting instruction");
+    assert_eq!(cpu.reg(Reg(8)), 2);
+    assert_eq!((bus.checks, bus.rechecks), (vec![0], vec![4, 8]));
+}
+
 /// Fork COW un-sharing: the parent's cache is flushed at the fork (its
 /// pages un-share underneath it) and the child starts cold — and the
 /// forked world still computes exactly what the cache-off twin does.
@@ -352,24 +606,13 @@ parent: li   v0, 16         ; waitpid(any)
         syscall
 "#;
     let run = |cache: bool| {
-        let mut world = World::new();
-        world.set_bbcache(cache);
-        world
-            .install_template("/shared/lib/cell.o", SHARED_CELL)
-            .unwrap();
-        world.install_template("/src/main.o", FORKER).unwrap();
-        let exe = world
-            .link(
-                "/bin/forker",
-                &[
-                    ("/src/main.o", ShareClass::StaticPrivate),
-                    ("/shared/lib/cell.o", ShareClass::DynamicPublic),
-                ],
-            )
-            .unwrap();
-        let pid = world.spawn(&exe).unwrap();
-        assert_eq!(world.run_to_completion(), WorldExit::AllExited);
-        (world.exit_code(pid), world)
+        run_program(
+            cache,
+            &[
+                ("/src/main.o", FORKER, ShareClass::StaticPrivate),
+                ("/shared/lib/cell.o", SHARED_CELL, ShareClass::DynamicPublic),
+            ],
+        )
     };
     let (on_code, on_world) = run(true);
     let (off_code, _) = run(false);
