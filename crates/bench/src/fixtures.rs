@@ -532,3 +532,31 @@ pub fn trace_cost(world: &World, kind: &str) -> u64 {
         .map(|r| r.cost_ns)
         .sum()
 }
+
+/// The differential oracle for the checksum-region fold: for every file
+/// on the shared partition, [`hsfs::FileSystem::durable_digest`] either
+/// declines (`None`) or equals the CRC-32 of the file's live bytes.
+/// Returns how many files the fold vouched for, so a caller can also
+/// insist that it was exercised.
+pub fn check_durable_digests(world: &World) -> usize {
+    let fs = &world.kernel.vfs.shared.fs;
+    let mut files = Vec::new();
+    fs.for_each_inode(|ino, kind| {
+        if *kind == hsfs::NodeKind::File {
+            files.push(ino);
+        }
+    });
+    let mut vouched = 0;
+    for ino in files {
+        if let Some(folded) = fs.durable_digest(ino) {
+            let bytes = fs.file_bytes(ino).expect("a listed file has bytes");
+            assert_eq!(
+                folded,
+                hobj::binfmt::crc32(bytes),
+                "ino {ino}: folded stamps differ from the live bytes' CRC-32"
+            );
+            vouched += 1;
+        }
+    }
+    vouched
+}

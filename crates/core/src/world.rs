@@ -1767,7 +1767,7 @@ impl World {
     /// Order-insensitive digest of the shared partition's logical state
     /// (metadata + bytes; locks and counters excluded). Two worlds with
     /// equal digests relink identically.
-    pub fn shared_digest(&self) -> u64 {
+    pub fn shared_digest(&self) -> u32 {
         self.kernel.vfs.shared.fs.state_digest()
     }
 

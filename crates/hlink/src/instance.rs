@@ -230,8 +230,9 @@ pub fn apply_with_trampoline(
 #[derive(Debug, Default)]
 pub struct ModuleRegistry {
     cache: HashMap<Ino, (ModuleMeta, u32)>,
-    /// Memoized instance-file digests: (file content epoch, CRC-32 of
-    /// the file's bytes under that epoch).
+    /// Memoized instance-file digests for files the checksum region
+    /// cannot vouch for: (file content epoch, CRC-32 of the file's bytes
+    /// under that epoch).
     digests: HashMap<Ino, (u64, u32)>,
 }
 
@@ -282,18 +283,22 @@ impl ModuleRegistry {
     }
 
     /// The digests of a public instance as a prelink snapshot records
-    /// them: the CRC-32 of the file's bytes (read unpriced at `path`)
-    /// and the trailer of its live metadata record. `None` when either
-    /// cannot be read.
+    /// them: the CRC-32 of the file's bytes and the trailer of its live
+    /// metadata record. `None` when either cannot be read.
     ///
-    /// The file digest is memoized per inode under the file's content
+    /// The file digest is folded from the shared file system's block
+    /// stamps ([`hsfs::FileSystem::durable_digest`]) when they describe
+    /// the live bytes. Otherwise the bytes are read unpriced at `path`,
+    /// and that CRC is memoized per inode under the file's content
     /// epoch, so it is recomputed only when the file was written since
     /// the last call. A file with a poisoned page bypasses the memo, so
     /// a read that would fail still fails.
     pub fn digests(&mut self, vfs: &mut Vfs, ino: Ino, path: &str) -> Option<(u32, u32)> {
-        let epoch = vfs.shared.fs.content_epoch(ino);
-        let content = match self.digests.get(&ino) {
-            Some(&(e, crc)) if e == epoch && !vfs.shared.fs.has_poison(ino) => crc,
+        let fs = &vfs.shared.fs;
+        let epoch = fs.content_epoch(ino);
+        let content = match (fs.durable_digest(ino), self.digests.get(&ino)) {
+            (Some(crc), _) => crc,
+            (None, Some(&(e, crc))) if e == epoch && !fs.has_poison(ino) => crc,
             _ => {
                 let crc = binfmt::crc32(&vfs.unpriced(|v| v.read_all(path).ok())?);
                 self.digests.insert(ino, (epoch, crc));

@@ -259,10 +259,16 @@ impl PrelinkSnapshot {
             if v.mount != Mount::Shared || v.ino != m.ino {
                 return Err(format!("module `{}`: address reassigned", m.name));
             }
-            let bytes = vfs
-                .read_all(&m.path)
-                .map_err(|_| format!("module `{}`: instance unreadable", m.name))?;
-            if crc32(&bytes) != m.content_digest {
+            // The checksum region vouches for the bytes when it can;
+            // otherwise they are read and hashed.
+            let content = match vfs.shared.fs.durable_digest(v.ino) {
+                Some(crc) => crc,
+                None => crc32(
+                    &vfs.read_all(&m.path)
+                        .map_err(|_| format!("module `{}`: instance unreadable", m.name))?,
+                ),
+            };
+            if content != m.content_digest {
                 return Err(format!("module `{}`: content rewritten", m.name));
             }
             let raw = vfs

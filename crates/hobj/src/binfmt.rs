@@ -49,67 +49,8 @@ impl fmt::Display for BinError {
     }
 }
 
-/// The reflected IEEE polynomial.
-const CRC32_POLY: u32 = 0xEDB8_8320;
-
-/// Slice-by-8 tables. `CRC32_TABLES[0][b]` is the CRC register after
-/// shifting byte `b` through eight rounds of the bitwise algorithm, so
-/// one lookup replaces eight shift-and-mask steps per input byte.
-/// `CRC32_TABLES[k][b]` is `CRC32_TABLES[0][b]` followed by `k` more
-/// zero bytes, which lets [`crc32`] fold eight input bytes with eight
-/// independent lookups instead of a serial chain of eight.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 == 1 {
-                (crc >> 1) ^ CRC32_POLY
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// Computes the CRC-32 (IEEE, reflected) of `data`: eight bytes per
-/// step through the slice-by-8 tables, then the tail byte by byte.
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut crc: u32 = !0;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][c[4] as usize]
-            ^ t[2][c[5] as usize]
-            ^ t[1][c[6] as usize]
-            ^ t[0][c[7] as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
+/// The envelope checksum: the stack's one CRC-32 kernel.
+pub use hcrc::crc32;
 
 // --- primitive writer ---
 
@@ -529,7 +470,6 @@ pub fn decode_image(buf: &[u8]) -> Result<LoadImage, BinError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn sample_object() -> Object {
         Object {
@@ -649,67 +589,6 @@ mod tests {
             decode_image(&bytes),
             Err(BinError::BadMagic { .. })
         ));
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // CRC-32 of "123456789" is 0xCBF43926 (IEEE reflected).
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    /// The bitwise CRC-32 the table kernels must reproduce.
-    fn crc32_bitwise(data: &[u8]) -> u32 {
-        let mut crc: u32 = !0;
-        for &b in data {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (CRC32_POLY & mask);
-            }
-        }
-        !crc
-    }
-
-    #[test]
-    fn crc32_table_matches_bitwise_reference() {
-        // SplitMix64-seeded buffers, every length class from empty to
-        // a few blocks.
-        let mut state: u64 = 1993;
-        let mut next = || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for round in 0..64 {
-            let len = match round {
-                0 => 0,
-                1 => 9000,
-                _ => (next() % 9001) as usize,
-            };
-            let buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-            assert_eq!(crc32(&buf), crc32_bitwise(&buf), "len {len}");
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-        /// Slice-by-8 against the bitwise loop on random sub-slices: a
-        /// start offset of 0-7 misaligns the 8-byte steps, and lengths
-        /// of 0-9000 hit every tail length under 8.
-        #[test]
-        fn crc32_slice_by_8_matches_bitwise_on_sub_slices(
-            seed in any::<u64>(),
-            start in 0usize..8,
-            len in 0usize..9001,
-        ) {
-            let mut rng = proptest::TestRng::from_seed(seed);
-            let buf: Vec<u8> = (0..start + len).map(|_| rng.next_u32() as u8).collect();
-            let slice = &buf[start..];
-            prop_assert_eq!(crc32(slice), crc32_bitwise(slice), "start {} len {}", start, len);
-        }
     }
 
     #[test]

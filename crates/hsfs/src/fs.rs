@@ -7,11 +7,10 @@
 //! can derive each file's virtual address directly from its inode number.
 
 use crate::error::FsError;
-use crate::journal::{
-    fnv1a, CorruptBlockInfo, CorruptKind, Durable, Payload, RecKind, ReplayStats,
-};
+use crate::journal::{CorruptBlockInfo, CorruptKind, Durable, Payload, RecKind, ReplayStats};
 use crate::path as fspath;
 use crate::stats::FsStats;
+use hcrc::crc32;
 use hfault::{FaultHandle, FaultSite};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -119,6 +118,15 @@ struct Inode {
     parent: Ino,
     name: String,
     lock: LockState,
+}
+
+impl Inode {
+    /// A kernel swap file: its content is dead after any crash (the
+    /// processes whose pages it holds died with them), so the pipeline
+    /// never journals it.
+    fn is_swap_file(&self) -> bool {
+        self.name.starts_with(&crate::SWAP_PATH_PREFIX[1..])
+    }
 }
 
 /// The in-memory file system.
@@ -811,6 +819,11 @@ impl FileSystem {
             });
         }
         self.durable_tx(payloads);
+        if torn {
+            if let Some(d) = self.durable.as_deref_mut() {
+                d.mark_torn(ino);
+            }
+        }
     }
 
     /// Sets the file's length, truncating or zero-extending.
@@ -1200,9 +1213,7 @@ impl FileSystem {
         let Some(Some(inode)) = self.slots.get(ino as usize) else {
             return;
         };
-        // Swap-file content is dead after any crash (the processes
-        // whose pages it holds died with them) — never journal it.
-        if inode.name.starts_with(&crate::SWAP_PATH_PREFIX[1..]) {
+        if inode.is_swap_file() {
             return;
         }
         let Node::File { content } = &inode.node else {
@@ -1463,7 +1474,7 @@ impl FileSystem {
     /// metadata, names, directory entries, symlink targets, and file
     /// contents. Volatile state (locks, stats, epochs, the journal) is
     /// excluded — two digests match iff the recoverable trees match.
-    pub fn state_digest(&self) -> u64 {
+    pub fn state_digest(&self) -> u32 {
         let mut buf = Vec::new();
         for (i, slot) in self.slots.iter().enumerate() {
             let Some(inode) = slot else { continue };
@@ -1478,7 +1489,7 @@ impl FileSystem {
                 Node::File { content } => {
                     buf.push(1);
                     buf.extend_from_slice(&(content.len() as u64).to_le_bytes());
-                    buf.extend_from_slice(&fnv1a(content).to_le_bytes());
+                    buf.extend_from_slice(&crc32(content).to_le_bytes());
                 }
                 Node::Dir { entries } => {
                     buf.push(2);
@@ -1494,11 +1505,11 @@ impl FileSystem {
                 }
             }
         }
-        fnv1a(&buf)
+        crc32(&buf)
     }
 
     /// Digest of the disk image (what a crash right now would leave).
-    pub fn disk_digest(&self) -> Option<u64> {
+    pub fn disk_digest(&self) -> Option<u32> {
         self.durable.as_ref().map(|d| d.disk.state_digest())
     }
 
@@ -1528,6 +1539,26 @@ impl FileSystem {
     /// blocks. Empty on a clean disk.
     pub fn verify_blocks(&self) -> Vec<CorruptBlockInfo> {
         self.durable.as_ref().map_or_else(Vec::new, |d| d.verify())
+    }
+
+    /// The CRC-32 of file `ino`'s live bytes, taken from the checksum
+    /// region instead of the bytes: the stamps of its blocks folded with
+    /// [`hcrc::crc32_combine`] (DESIGN.md §15). `None` tells the caller
+    /// to read the bytes: on a write-through file system, for a swap
+    /// file (its content is never journaled), for a file with a
+    /// poisoned page, once the device has died, while the file has
+    /// mapped-store dirt or a torn write not yet reconciled, and when
+    /// the stamps do not cover exactly the blocks of the live length.
+    pub fn durable_digest(&self, ino: Ino) -> Option<u32> {
+        let d = self.durable.as_deref()?;
+        let inode = self.inode(ino).ok()?;
+        let Node::File { content } = &inode.node else {
+            return None;
+        };
+        if inode.is_swap_file() || self.has_poison(ino) {
+            return None;
+        }
+        d.fold_stamps(ino, content.len() as u64)
     }
 
     /// Live-tree bytes of one block (clamped; empty when missing).
@@ -1922,5 +1953,54 @@ mod tests {
         let ino = f.resolve("/d").unwrap();
         assert_eq!(f.read_at(ino, 0, 1), Err(FsError::IsADirectory));
         assert_eq!(f.write_at(ino, 0, b"x"), Err(FsError::IsADirectory));
+    }
+
+    /// The stamps of a multi-block file with a partial last block fold
+    /// into the CRC-32 of its bytes; dirt, a length the stamps do not
+    /// cover, and a write-through file system all decline.
+    #[test]
+    fn durable_digest_folds_the_block_stamps() {
+        let mut f = fs();
+        let ino = f.create_file("/m", 0o644, 0).unwrap();
+        let bytes: Vec<u8> = (0..3 * crate::BLOCK_SIZE + 1234)
+            .map(|i| (i * 7 + i / 251) as u8)
+            .collect();
+        f.write_at(ino, 0, &bytes).unwrap();
+        assert_eq!(f.durable_digest(ino), None, "write-through");
+        f.enable_durability();
+        assert_eq!(f.durable_digest(ino), Some(crc32(&bytes)));
+        f.file_bytes_mut_stamped(ino, 1).unwrap()[crate::BLOCK_SIZE as usize] ^= 1;
+        assert_eq!(f.durable_digest(ino), None, "mapped-store dirt");
+        f.barrier();
+        let now = crc32(f.file_bytes(ino).unwrap());
+        assert_ne!(now, crc32(&bytes));
+        assert_eq!(f.durable_digest(ino), Some(now), "the barrier re-stamped");
+        f.force_size_for_test(ino, bytes.len() as u64 + 1);
+        assert_eq!(f.durable_digest(ino), None, "length beyond the stamps");
+    }
+
+    /// A resize re-stamps the block it cuts or extends from the block's
+    /// intent, not from the medium: a lost write under that block stays
+    /// detectable, heals, and the fold keeps matching the live bytes.
+    #[test]
+    fn resize_after_a_lost_write_keeps_it_detectable() {
+        for new_len in [9000, 5000] {
+            let mut f = fs();
+            f.enable_durability();
+            let ino = f.create_file("/m", 0o644, 0).unwrap();
+            let bytes: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8).collect();
+            f.write_at(ino, 0, &bytes).unwrap();
+            assert!(f.corrupt_block_for_test(ino, 4096, CorruptKind::LostWrite));
+            f.truncate(ino, new_len).unwrap();
+            assert_eq!(
+                f.durable_digest(ino),
+                Some(crc32(f.file_bytes(ino).unwrap())),
+                "resize to {new_len}"
+            );
+            let report = f.scrub().unwrap();
+            assert_eq!(report.findings.len(), 1, "resize to {new_len}");
+            assert_eq!(report.findings[0].repaired_from, Some("replica"));
+            assert_eq!(f.disk_digest(), Some(f.state_digest()));
+        }
     }
 }

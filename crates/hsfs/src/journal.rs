@@ -32,6 +32,7 @@
 //! separately by the World at reboot.
 
 use crate::fs::{FileSystem, Ino};
+use hcrc::{crc32, crc32_combine};
 use hfault::{FaultHandle, FaultSite};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -216,16 +217,6 @@ impl Payload {
     }
 }
 
-/// FNV-1a 64-bit — the journal's record checksum.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One on-disk journal record: a checksummed payload within a
 /// transaction. `torn` models a record whose block write was cut short —
 /// its stored checksum no longer matches its contents.
@@ -233,7 +224,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 pub struct Record {
     txid: u64,
     payload: Payload,
-    crc: u64,
+    crc: u32,
     torn: bool,
 }
 
@@ -245,7 +236,7 @@ impl Record {
         Record {
             txid,
             payload,
-            crc: fnv1a(&buf),
+            crc: crc32(&buf),
             torn: false,
         }
     }
@@ -258,7 +249,7 @@ impl Record {
         let mut buf = Vec::new();
         buf.extend_from_slice(&self.txid.to_le_bytes());
         self.payload.encode(&mut buf);
-        self.crc == fnv1a(&buf)
+        self.crc == crc32(&buf)
     }
 
     /// The record's transaction id.
@@ -354,17 +345,22 @@ pub struct Durable {
     dirty_whole: BTreeSet<Ino>,
     /// One-entry memo de-duplicating the per-store page marks.
     last_mark: Option<(Ino, u32)>,
-    /// The checksum region: trusted expected checksum per home block.
-    /// Written in the shadow of each home write (no `disk_seq` tick —
-    /// it shares fate with the data write it describes).
-    stamps: BTreeMap<(Ino, u64), u64>,
+    /// Files a torn `write_at` left shorter in the live tree than the
+    /// intent the pipeline recorded. Volatile: the power cut that
+    /// re-twins (and so re-aligns live and disk) starts a fresh set.
+    torn_live: BTreeSet<Ino>,
+    /// The checksum region: trusted CRC-32 and length of each home
+    /// block's intended content. Written in the shadow of each home
+    /// write (no `disk_seq` tick — it shares fate with the data write
+    /// it describes).
+    stamps: BTreeMap<(Ino, u64), (u32, u32)>,
     /// Each block's on-medium self-describing footer: the home address
     /// the data *claims* to belong to. Travels with the data, so a
     /// misdirected write carries its intended address onto the victim.
     claims: BTreeMap<(Ino, u64), (Ino, u64)>,
     /// The replica region: a second full copy of each block (bytes +
     /// own checksum), the primary self-heal source.
-    replica: BTreeMap<(Ino, u64), (Vec<u8>, u64)>,
+    replica: BTreeMap<(Ino, u64), (Vec<u8>, u32)>,
     /// Home data blocks written (write-amplification accounting).
     data_blocks_written: u64,
     /// Integrity-region blocks written (stamp + replica updates).
@@ -389,6 +385,7 @@ impl Durable {
             dirty_pages: BTreeMap::new(),
             dirty_whole: BTreeSet::new(),
             last_mark: None,
+            torn_live: BTreeSet::new(),
             stamps: BTreeMap::new(),
             claims: BTreeMap::new(),
             replica: BTreeMap::new(),
@@ -479,6 +476,41 @@ impl Durable {
         )
     }
 
+    /// Records that a torn `write_at` left `ino`'s live bytes short of
+    /// the intent just journaled for it.
+    pub(crate) fn mark_torn(&mut self, ino: Ino) {
+        self.torn_live.insert(ino);
+    }
+
+    /// The CRC-32 of `ino`'s `len` live bytes, folded from the checksum
+    /// region without reading them: each stamped block's CRC combined
+    /// in block order. `None` when the stamps may not describe the live
+    /// bytes — the device is dead (later writes were discarded, stamps
+    /// and all), the file has mapped-store dirt not yet captured, or a
+    /// torn write left it short of its stamps — and when the stamps do
+    /// not cover exactly the blocks of a `len`-byte file.
+    pub(crate) fn fold_stamps(&self, ino: Ino, len: u64) -> Option<u32> {
+        if self.dead
+            || self.dirty_whole.contains(&ino)
+            || self.dirty_pages.contains_key(&ino)
+            || self.torn_live.contains(&ino)
+        {
+            return None;
+        }
+        let bs = u64::from(crate::BLOCK_SIZE);
+        let mut crc = 0; // the CRC-32 of no bytes
+        let mut next = 0;
+        for (&(_, offset), &(block_crc, block_len)) in self.stamps.range((ino, 0)..=(ino, u64::MAX))
+        {
+            if offset != next || offset >= len || u64::from(block_len) != (len - offset).min(bs) {
+                return None;
+            }
+            crc = crc32_combine(crc, block_crc, u64::from(block_len));
+            next += bs;
+        }
+        (next >= len).then_some(crc)
+    }
+
     /// Emits one transaction: journal records, commit, home writes.
     pub(crate) fn tx(&mut self, faults: &FaultHandle, payloads: Vec<Payload>) {
         let txid = self.next_txid;
@@ -548,18 +580,24 @@ impl Durable {
 
     // --- integrity: checksum region, claims, replica, scrub/repair ---
 
-    /// The current disk-image bytes of one block (clamped at EOF; empty
-    /// when the file is missing, not a file, or ends before `offset`).
-    pub(crate) fn read_disk_block(&self, ino: Ino, offset: u64) -> Vec<u8> {
-        let bs = crate::BLOCK_SIZE;
+    /// The current disk-image bytes of one block, in place (clamped at
+    /// EOF; empty when the file is missing, not a file, or ends before
+    /// `offset`).
+    fn disk_block(&self, ino: Ino, offset: u64) -> &[u8] {
         match self.disk.file_bytes(ino) {
             Ok(content) => {
                 let s = (offset as usize).min(content.len());
-                let e = (s + bs as usize).min(content.len());
-                content[s..e].to_vec()
+                let e = (s + crate::BLOCK_SIZE as usize).min(content.len());
+                &content[s..e]
             }
-            Err(_) => Vec::new(),
+            Err(_) => &[],
         }
+    }
+
+    /// A copy of [`Durable::disk_block`], for callers that mutate the
+    /// disk image while holding it.
+    pub(crate) fn read_disk_block(&self, ino: Ino, offset: u64) -> Vec<u8> {
+        self.disk_block(ino, offset).to_vec()
     }
 
     fn disk_file_len(&self, ino: Ino) -> Option<u64> {
@@ -585,8 +623,8 @@ impl Durable {
             self.drop_stamp(ino, offset);
             return;
         }
-        let crc = fnv1a(&good);
-        self.stamps.insert((ino, offset), crc);
+        let crc = crc32(&good);
+        self.stamps.insert((ino, offset), (crc, good.len() as u32));
         self.claims.insert((ino, offset), (ino, offset));
         self.replica.insert((ino, offset), (good, crc));
         self.integrity_blocks_written += 1;
@@ -609,15 +647,6 @@ impl Durable {
         }
     }
 
-    /// Re-stamps one block from the disk image (used where the operation
-    /// itself legitimately changed the bytes, e.g. a resize's straddling
-    /// block — blocks the operation did not touch keep their old stamps,
-    /// preserving detection of any corruption already under them).
-    fn restamp_from_disk(&mut self, ino: Ino, offset: u64) {
-        let bytes = self.read_disk_block(ino, offset);
-        self.stamp(ino, offset, bytes);
-    }
-
     /// Stamps every data block of the disk image (enable path).
     pub(crate) fn stamp_all(&mut self) {
         let bs = crate::BLOCK_SIZE as u64;
@@ -630,14 +659,16 @@ impl Durable {
         for ino in work {
             let len = self.disk_file_len(ino).unwrap_or(0);
             for b in 0..len.div_ceil(bs) {
-                self.restamp_from_disk(ino, b * bs);
+                let bytes = self.read_disk_block(ino, b * bs);
+                self.stamp(ino, b * bs, bytes);
             }
         }
     }
 
-    /// Adjusts the checksum region for a resize `old → new`: drops
-    /// stamps beyond the new EOF and re-stamps only the blocks whose
-    /// bytes the resize actually changed.
+    /// Adjusts the checksum region for a resize `old → new` (already
+    /// applied to the disk image): drops stamps beyond the new EOF and
+    /// re-stamps only the blocks whose bytes the resize actually
+    /// changed.
     fn resize_stamps(&mut self, ino: Ino, old: u64, new: u64) {
         let bs = crate::BLOCK_SIZE as u64;
         let beyond: Vec<(Ino, u64)> = self
@@ -658,7 +689,18 @@ impl Durable {
         };
         let mut o = start;
         while o < new {
-            self.restamp_from_disk(ino, o);
+            // The block's intent, cut or zero-extended to its new
+            // length: the disk image may hold a lost or rotted write,
+            // which re-stamping from it would bless.
+            let good = match self.intact_replica(ino, o) {
+                Some(bytes) => {
+                    let mut good = bytes.to_vec();
+                    good.resize((new - o).min(bs) as usize, 0);
+                    good
+                }
+                None => self.read_disk_block(ino, o),
+            };
+            self.stamp(ino, o, good);
             o += bs;
         }
     }
@@ -729,8 +771,8 @@ impl Durable {
                 }
                 self.stamp(ino, offset, intended.clone());
                 // Deterministic bit flip derived from the block content.
-                let h = fnv1a(&intended);
-                let idx = (h % intended.len() as u64) as usize;
+                let h = crc32(&intended);
+                let idx = h as usize % intended.len();
                 let rotted = intended[idx] ^ (1u8 << ((h >> 7) & 7));
                 self.disk.apply_phys(&Payload::WriteBlock {
                     ino,
@@ -790,7 +832,7 @@ impl Durable {
     /// then content checksum against the checksum region.
     pub(crate) fn verify(&self) -> Vec<CorruptBlockInfo> {
         let mut out = Vec::new();
-        for (&(ino, offset), &expect) in &self.stamps {
+        for (&(ino, offset), &(expect, _)) in &self.stamps {
             if let Some(&claim) = self.claims.get(&(ino, offset)) {
                 if claim != (ino, offset) {
                     out.push(CorruptBlockInfo {
@@ -801,7 +843,7 @@ impl Durable {
                     continue;
                 }
             }
-            if fnv1a(&self.read_disk_block(ino, offset)) != expect {
+            if crc32(self.disk_block(ino, offset)) != expect {
                 out.push(CorruptBlockInfo {
                     ino,
                     offset,
@@ -812,22 +854,28 @@ impl Durable {
         out
     }
 
+    /// One block's replica copy, when it still matches the block's
+    /// stamp (written with it, and not rotted since): the block's
+    /// intended content.
+    fn intact_replica(&self, ino: Ino, offset: u64) -> Option<&[u8]> {
+        let &(expect, _) = self.stamps.get(&(ino, offset))?;
+        let (bytes, crc) = self.replica.get(&(ino, offset))?;
+        (*crc == expect && crc32(bytes) == expect).then_some(bytes.as_slice())
+    }
+
     /// Repairs one corrupt block on the disk image: replica region
     /// first, then the newest committed journal copy. Returns the
     /// repair source, or `None` when no intact copy exists.
     pub(crate) fn repair_block(&mut self, ino: Ino, offset: u64) -> Option<&'static str> {
-        let expect = *self.stamps.get(&(ino, offset))?;
-        if let Some((bytes, crc)) = self.replica.get(&(ino, offset)) {
-            if *crc == expect && fnv1a(bytes) == expect {
-                let good = bytes.clone();
-                self.disk.apply_phys(&Payload::WriteBlock {
-                    ino,
-                    offset,
-                    bytes: good,
-                });
-                self.claims.insert((ino, offset), (ino, offset));
-                return Some("replica");
-            }
+        let (expect, _) = *self.stamps.get(&(ino, offset))?;
+        if let Some(good) = self.intact_replica(ino, offset).map(<[u8]>::to_vec) {
+            self.disk.apply_phys(&Payload::WriteBlock {
+                ino,
+                offset,
+                bytes: good,
+            });
+            self.claims.insert((ino, offset), (ino, offset));
+            return Some("replica");
         }
         let committed: BTreeSet<u64> = self
             .journal
@@ -846,7 +894,7 @@ impl Durable {
             } = rec.payload()
             {
                 if *ri == ino && *ro == offset {
-                    if fnv1a(bytes) == expect {
+                    if crc32(bytes) == expect {
                         let good = bytes.clone();
                         self.disk.apply_phys(&Payload::WriteBlock {
                             ino,

@@ -186,25 +186,40 @@ impl FsckReport {
     }
 }
 
-/// Checks the address table against the file system, returning every
-/// inconsistency found. A clean partition returns an empty list.
-pub fn fsck_shared(sfs: &mut SharedFs) -> Vec<FsckIssue> {
-    let mut issues = Vec::new();
+/// Every file on the partition with its path, in slot (= inode) order:
+/// the one inode walk a check pass makes.
+fn file_paths(sfs: &SharedFs) -> Vec<(Ino, String)> {
     let mut files = Vec::new();
     sfs.fs.for_each_inode(|ino, kind| {
         if *kind == NodeKind::File {
-            files.push(ino);
+            files.push((ino, sfs.fs.path_of(ino).unwrap_or_default()));
         }
     });
-    for &ino in &files {
-        let path = sfs.fs.path_of(ino).unwrap_or_default();
+    files
+}
+
+/// Checks the address table against the file system, returning every
+/// inconsistency found. A clean partition returns an empty list.
+pub fn fsck_shared(sfs: &mut SharedFs) -> Vec<FsckIssue> {
+    let files = file_paths(sfs);
+    check_files(sfs, &files)
+}
+
+/// [`fsck_shared`] over an already-taken [`file_paths`] list.
+fn check_files(sfs: &mut SharedFs, files: &[(Ino, String)]) -> Vec<FsckIssue> {
+    let mut issues = Vec::new();
+    for (ino, path) in files {
+        let ino = *ino;
         // Prelink snapshot records never hold a table slot (kernel
         // cache metadata, not address-mapped), so a missing entry is
         // the expected state, not an inconsistency.
-        if !crate::is_prelink_path(&path) {
+        if !crate::is_prelink_path(path) {
             let addr = SharedFs::addr_of_ino(ino);
             if sfs.addr_to_ino(addr).is_err() {
-                issues.push(FsckIssue::MissingTableEntry { ino, path });
+                issues.push(FsckIssue::MissingTableEntry {
+                    ino,
+                    path: path.clone(),
+                });
             }
         }
         if let Ok(meta) = sfs.fs.metadata(ino) {
@@ -216,11 +231,12 @@ pub fn fsck_shared(sfs: &mut SharedFs) -> Vec<FsckIssue> {
             }
         }
     }
-    // Scan the whole slot space for table entries without a backing file.
+    // Scan the whole slot space for table entries without a backing
+    // file (`files` is in inode order).
     for slot in 0..SHARED_INODES {
         let addr = SharedFs::addr_of_ino(slot);
         if let Ok((ino, _)) = sfs.addr_to_ino(addr) {
-            if sfs.fs.metadata(ino).is_err() || !files.contains(&ino) {
+            if files.binary_search_by_key(&ino, |&(i, _)| i).is_err() {
                 issues.push(FsckIssue::StaleTableEntry { ino });
             }
         }
@@ -241,18 +257,11 @@ pub fn fsck_shared(sfs: &mut SharedFs) -> Vec<FsckIssue> {
 /// crash-orphaned swap files. At boot, no process can own a swap page,
 /// so any surviving `/.kswap{N}` file is leakage to be reclaimed.
 pub fn fsck_boot(sfs: &mut SharedFs) -> Vec<FsckIssue> {
-    let mut issues = fsck_shared(sfs);
-    let mut files = Vec::new();
-    sfs.fs.for_each_inode(|ino, kind| {
-        if *kind == NodeKind::File {
-            files.push(ino);
-        }
-    });
-    for ino in files {
-        if let Ok(path) = sfs.fs.path_of(ino) {
-            if path.starts_with(crate::SWAP_PATH_PREFIX) {
-                issues.push(FsckIssue::OrphanSwapFile { ino, path });
-            }
+    let files = file_paths(sfs);
+    let mut issues = check_files(sfs, &files);
+    for (ino, path) in files {
+        if path.starts_with(crate::SWAP_PATH_PREFIX) {
+            issues.push(FsckIssue::OrphanSwapFile { ino, path });
         }
     }
     issues

@@ -36,8 +36,8 @@
 //! file system run one script to identical `FsStats`).
 
 use bench::fixtures::{
-    budget_override, build_counter, build_pressure_world, cpus_override, crash_seed_offset,
-    expected_checksum, pat, run_prog, spawn_worker, WORKERS,
+    budget_override, build_counter, build_pressure_world, check_durable_digests, cpus_override,
+    crash_seed_offset, expected_checksum, pat, run_prog, spawn_worker, WORKERS,
 };
 use hemlock::{FaultPlan, FaultSite, World, WorldExit};
 use hsfs::{FileSystem, FsConfig, FsError};
@@ -131,7 +131,7 @@ fn reference(cpus: u32) -> Reference {
 /// must replay byte-identically from the same crash point.
 #[derive(Debug, PartialEq, Eq)]
 struct Recovered {
-    digest: u64,
+    digest: u32,
     /// `(path, size)` per interesting path; `None` = absent.
     files: Vec<(String, Option<u64>)>,
     counter: Option<u32>,
@@ -176,6 +176,7 @@ fn crash_at(k: u64, tear: bool, cpus: u32) -> (World, Recovered) {
     let _ = run_workload(&mut world);
     world.power_cut();
     world.reboot();
+    check_durable_digests(&world);
     let rec = observe(&mut world);
     (world, rec)
 }
@@ -330,6 +331,7 @@ fn check_acknowledged(world: &mut World, k: u64) {
 /// The tentpole: every crash point, exhaustively.
 fn exhaust(cpus: u32) {
     let reference = reference(cpus);
+    let mut vouched = 0;
     for k in reference.baseline..=reference.total {
         // Deterministically mix torn and clean deaths across the range.
         let tear = k % 3 == 0;
@@ -340,6 +342,7 @@ fn exhaust(cpus: u32) {
         let d1 = world.shared_digest();
         world.power_cut();
         world.reboot();
+        vouched += check_durable_digests(&world);
         assert_eq!(
             world.shared_digest(),
             d1,
@@ -355,6 +358,7 @@ fn exhaust(cpus: u32) {
             assert_eq!(rec, again, "k={k}: crash outcome did not replay");
         }
     }
+    assert!(vouched > 0, "the stamps must vouch for recovered files");
 }
 
 #[test]
@@ -385,6 +389,7 @@ fn seeded_chaos_crashes_recover() {
         let died = world.kernel.vfs.shared.fs.device_dead();
         world.power_cut();
         world.reboot();
+        check_durable_digests(&world);
         let rec = observe(&mut world);
         assert!(
             !world.log.iter().any(|l| l.contains("UNREPAIRED")),
@@ -463,9 +468,13 @@ fn torn_write_heals_across_reboot() {
         intended[3000..],
         "torn write must not complete"
     );
+    // The stamps hold the full intent, so they must not vouch for the
+    // torn live bytes.
+    check_durable_digests(&world);
     // Crash and reboot: the journaled full intent is replayed home.
     world.power_cut();
     world.reboot();
+    check_durable_digests(&world);
     assert_eq!(size_of(&mut world, "/shared/data/t"), Some(8192));
     assert_eq!(
         read(&mut world, "/shared/data/t", 1000, 6000),

@@ -43,7 +43,8 @@
 //! level by `e13_crash::pipeline_adds_zero_simulated_cost_when_crash_free`.
 
 use bench::fixtures::{
-    build_counter, chaos_seed_offset, cpus_override, pat, run_prog, trace_count, RUN_SLICES,
+    build_counter, chaos_seed_offset, check_durable_digests, cpus_override, pat, run_prog,
+    trace_count, RUN_SLICES,
 };
 use hemlock::{FaultPlan, FaultSite, World, WorldExit};
 use hsfs::tools::{fsck_report, FsckKind};
@@ -182,6 +183,7 @@ fn any_single_block_corruption_heals_invisibly() {
                 );
                 // Healing is idempotent: a second pass finds nothing.
                 assert!(world.scrub().unwrap().findings.is_empty());
+                check_durable_digests(&world);
             }
         }
     }
@@ -210,6 +212,7 @@ fn boot_fsck_heals_disk_corruption_before_first_map() {
     assert!(hit > 0, "the instance must have stamped blocks");
     world.power_cut();
     world.reboot();
+    check_durable_digests(&world);
     let s = world.stats();
     assert_eq!(s.corruptions_detected, hit, "log: {:?}", world.log);
     assert_eq!(s.blocks_repaired, hit);
@@ -227,6 +230,7 @@ fn boot_fsck_heals_disk_corruption_before_first_map() {
     world.barrier();
     world.power_cut();
     world.reboot();
+    check_durable_digests(&world);
     assert_eq!(
         world.stats().corruptions_detected,
         hit,
@@ -256,6 +260,7 @@ fn uncorrectable_corruption_is_contained_to_the_reader() {
     assert!(hit > 0);
     world.power_cut();
     world.reboot();
+    check_durable_digests(&world);
     // Detected, not healed, poisoned, and reported.
     let s = world.stats();
     assert_eq!(s.corruptions_detected, hit, "log: {:?}", world.log);
@@ -396,6 +401,13 @@ fn chaos_corruption_sites_replay_and_self_heal() {
                 .unwrap();
         }
         world.arm_faults(FaultPlan::new(seed, 0));
+        // The medium lies, but the stamps hold the intent, which the
+        // live tree still has.
+        let vouched = check_durable_digests(&world);
+        assert!(
+            vouched >= usize::from(files),
+            "seed {seed}: {vouched} files vouched for"
+        );
         let report = world.scrub().expect("integrity on");
         let s = world.stats();
         assert_eq!(
@@ -420,6 +432,7 @@ fn chaos_corruption_sites_replay_and_self_heal() {
         // journal compose.
         world.power_cut();
         world.reboot();
+        check_durable_digests(&world);
         assert!(!world.log.iter().any(|l| l.contains("UNREPAIRED")));
         (
             report.findings.len(),

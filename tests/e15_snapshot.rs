@@ -982,6 +982,87 @@ fn module_poisoned_after_the_storing_boot_invalidates_never_hits() {
     }
 }
 
+/// Runs the stored chain as the boot's first spawn after `hazard` has
+/// moved lib2's live bytes ahead of its block stamps, and checks that
+/// validation read the bytes instead of folding the stale stamps: the
+/// record is rejected as rewritten, never hit, and the full resolve
+/// still computes the answer.
+fn live_bytes_ahead_of_the_stamps_invalidate(hazard: impl FnOnce(&mut World, u32)) {
+    let mut world = traced_world();
+    let exe = build_chain(&mut world);
+    assert_eq!(run_prog(&mut world, &exe), CHAIN_ANSWER);
+    world.reboot();
+    let ino = world.kernel.vfs.resolve("/shared/lib/lib2").unwrap().ino;
+    assert!(
+        world.kernel.vfs.shared.fs.durable_digest(ino).is_some(),
+        "after a clean boot the stamps vouch for lib2"
+    );
+    let pad = world
+        .registry
+        .get(&mut world.kernel.vfs, ino)
+        .map(|m| m.find_export("pad").unwrap() - m.base)
+        .unwrap();
+    hazard(&mut world, pad);
+    assert_eq!(world.kernel.vfs.shared.fs.durable_digest(ino), None);
+    let before = world.stats();
+    assert_eq!(
+        run_prog(&mut world, &exe),
+        CHAIN_ANSWER,
+        "log: {:?}",
+        world.log
+    );
+    let s = world.stats();
+    assert_eq!(s.snapshot_hits, before.snapshot_hits, "stale hit: {s:?}");
+    assert_eq!(
+        s.snapshot_invalidations,
+        before.snapshot_invalidations + 1,
+        "{s:?}"
+    );
+    let why: Vec<String> = world
+        .trace()
+        .records()
+        .filter(|r| r.event.kind() == "SnapshotInvalidated")
+        .map(|r| r.event.to_string())
+        .collect();
+    assert_eq!(why.len(), 1);
+    assert!(
+        why[0].contains("module `lib2`: content rewritten"),
+        "{why:?}"
+    );
+}
+
+/// A mapped store into a module with no barrier after it: the dirt is
+/// not yet journaled, so the stamps still describe the old bytes.
+#[test]
+fn unbarriered_mapped_store_before_the_first_spawn_invalidates() {
+    live_bytes_ahead_of_the_stamps_invalidate(|world, _| {
+        world
+            .poke_shared_word("/shared/lib/lib2", "pad", 0xDEAD_BEEF)
+            .unwrap();
+    });
+}
+
+/// The device dies, then a module is rewritten through the ordinary
+/// write path in the same boot: the live bytes move, but the dead
+/// device discards the write and the stamps with it.
+#[test]
+fn write_after_device_death_invalidates_in_the_same_boot() {
+    live_bytes_ahead_of_the_stamps_invalidate(|world, pad| {
+        let k = world.disk_seq();
+        world.set_crash_at(k, false);
+        world
+            .kernel
+            .vfs
+            .write(
+                "/shared/lib/lib2",
+                u64::from(pad),
+                &0xDEAD_BEEFu32.to_le_bytes(),
+            )
+            .unwrap();
+        assert!(world.kernel.vfs.shared.fs.device_dead());
+    });
+}
+
 /// A fork child inherits its parent's link map but not its staged
 /// record: a child that links nothing writes nothing, and the parent's
 /// exit writes the lifetime's one record.

@@ -14,7 +14,9 @@
 //!   `htrace` journal (`FaultInjected` / `RecoveryTaken` records);
 //! * the entire outcome replays exactly from the seed.
 
-use bench::fixtures::{chaos_seed_offset, cpus_override, env_switch_on, SETTLE_SLICES};
+use bench::fixtures::{
+    chaos_seed_offset, check_durable_digests, cpus_override, env_switch_on, SETTLE_SLICES,
+};
 use hemlock::{FaultPlan, FaultSite, ShareClass, Unsettled, World, WorldExit};
 use proptest::prelude::*;
 
@@ -140,6 +142,10 @@ fn run_scenario_at(plan: Option<FaultPlan>, warm: bool) -> Outcome {
         pids.push(world.spawn(&exe).ok());
     }
     let settled = world.run_to_settle(SETTLE_SLICES);
+    // Torn writes, silent corruption and device death all leave the
+    // block stamps apart from some live bytes: the fold must decline
+    // there, never disagree.
+    check_durable_digests(&world);
     let stats = world.stats();
     let trace = world.trace();
     Outcome {

@@ -198,6 +198,7 @@ proptest! {
                 world.shared_digest(), digest,
                 "journal replay is not idempotent"
             );
+            bench::fixtures::check_durable_digests(world);
         };
         for (op, a, imm, flag) in ops {
             match op {
